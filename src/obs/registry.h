@@ -5,10 +5,14 @@
 // Hot-path contract:
 //  * Counter and Histogram handles may be written from multiple threads:
 //    `add`/`record` are relaxed atomic RMWs (a lock-prefixed add, no
-//    ordering). Each handle still owns a private cache-line-padded cell,
-//    so the RMW is uncontended unless a handle is deliberately shared;
-//    threads wanting a hot same-series counter should each create their
-//    own handle (snapshots sum across cells) — the profiler's deferred
+//    ordering). Each handle owns a private cache-line-padded cell, so
+//    the RMW is uncontended unless a handle is deliberately shared.
+//  * Per-access counters (the simulator's level counts, PMU event and
+//    sample counts) are per-core cells instead: one handle per core,
+//    bumped with `Counter::add_owned` — a relaxed load+add+store with no
+//    lock prefix. Its contract is one writer at a time per cell, with a
+//    happens-before edge between successive writers (rt's turn token or
+//    epoch barrier); snapshots sum across cells. The profiler's deferred
 //    ingest goes further and tallies per-thread in plain memory, folding
 //    into its cells at quiescent points.
 //  * Gauge handles may be shared across threads: `add`/`set` use real
@@ -49,6 +53,14 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
+/// Single-writer bump of a relaxed atomic: load+add+store, no lock
+/// prefix. Exact as long as writers never overlap (see the per-core
+/// contract above); concurrent readers see torn-free values.
+inline void add_owned(std::atomic<std::uint64_t>& cell, std::uint64_t n) {
+  cell.store(cell.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+}
+
 namespace detail {
 
 /// One counter/histogram/gauge value slot (multi-writer safe).
@@ -88,6 +100,9 @@ class Counter {
     cell_->value.fetch_add(n, std::memory_order_relaxed);
   }
   void inc() { add(1); }
+  /// Single-writer add (obs::add_owned) for per-core cells.
+  void add_owned(std::uint64_t n) { obs::add_owned(cell_->value, n); }
+  void inc_owned() { add_owned(1); }
   std::uint64_t value() const {
     return cell_->value.load(std::memory_order_relaxed);
   }

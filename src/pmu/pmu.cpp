@@ -19,6 +19,8 @@ PmuSet::PmuSet(const sim::MachineConfig& machine_cfg,
                std::vector<PmuConfig> cfgs)
     : configs_(std::move(cfgs)) {
   cores_ = static_cast<std::size_t>(machine_cfg.num_cores());
+  obs::Registry& reg = obs::Registry::global();
+  slots_.reserve(configs_.size() * cores_);
   for (std::size_t i = 0; i < configs_.size(); ++i) {
     const auto& cfg = configs_[i];
     if (cfg.period == 0) throw std::invalid_argument("PMU period must be > 0");
@@ -26,21 +28,30 @@ PmuSet::PmuSet(const sim::MachineConfig& machine_cfg,
       throw std::invalid_argument("PMU jitter must be < period");
     }
     for (std::size_t c = 0; c < cores_; ++c) {
-      countdown_.push_back(cfg.period);
-      rng_state_.push_back(0x9e3779b97f4a7c15ull * (c + 1) +
-                           0x7f4a7c15ull * i);
+      Slot& s = slots_.emplace_back();
+      s.countdown = cfg.period;
+      s.rng = 0x9e3779b97f4a7c15ull * (c + 1) + 0x7f4a7c15ull * i;
+      s.events = reg.counter("pmu.events", {{"event", to_string(cfg.event)}});
+      s.samples = reg.counter("pmu.samples");
     }
-  }
-  obs::Registry& reg = obs::Registry::global();
-  samples_ = reg.counter("pmu.samples");
-  for (const auto& cfg : configs_) {
-    event_counts_.push_back(
-        reg.counter("pmu.events", {{"event", to_string(cfg.event)}}));
   }
 }
 
 std::uint64_t PmuSet::events_counted(std::size_t cfg_index) const {
-  return event_counts_.at(cfg_index).value();
+  if (cfg_index >= configs_.size()) {
+    throw std::out_of_range("PmuSet::events_counted: no such cfg");
+  }
+  std::uint64_t sum = 0;
+  for (std::size_t c = 0; c < cores_; ++c) {
+    sum += slots_[cfg_index * cores_ + c].events.value();
+  }
+  return sum;
+}
+
+std::uint64_t PmuSet::samples_taken() const {
+  std::uint64_t sum = 0;
+  for (const Slot& s : slots_) sum += s.samples.value();
+  return sum;
 }
 
 void PmuSet::set_period_scale(std::uint64_t scale) {
@@ -69,19 +80,17 @@ bool PmuSet::event_matches(const PmuConfig& cfg,
   return false;
 }
 
-void PmuSet::emit(const PmuConfig& cfg, const Sample& sample) {
-  samples_.inc();
-  (void)cfg;
+void PmuSet::emit(Slot& slot, const Sample& sample) {
+  slot.samples.inc_owned();
   if (handler_) handler_(sample);
 }
 
-std::uint64_t PmuSet::next_period(std::size_t cfg_index, sim::CoreId core) {
-  const PmuConfig& cfg = configs_[cfg_index];
+std::uint64_t PmuSet::next_period(const PmuConfig& cfg, Slot& slot) {
   if (cfg.jitter == 0) return cfg.period * period_scale();
-  // xorshift64*: deterministic, per-core stream. The throttle scale
-  // multiplies the jittered value, so the relative randomization window
-  // is preserved while the mean period grows.
-  auto& s = rng_state_[cfg_index * cores_ + static_cast<std::size_t>(core)];
+  // xorshift64*: deterministic, per-(cfg, core) stream. The throttle
+  // scale multiplies the jittered value, so the relative randomization
+  // window is preserved while the mean period grows.
+  std::uint64_t& s = slot.rng;
   s ^= s >> 12;
   s ^= s << 25;
   s ^= s >> 27;
@@ -94,10 +103,10 @@ void PmuSet::on_access(const sim::MemAccess& a) {
   for (std::size_t i = 0; i < configs_.size(); ++i) {
     const PmuConfig& cfg = configs_[i];
     if (!event_matches(cfg, a)) continue;
-    event_counts_[i].inc();
-    auto& cd = countdown_[i * cores_ + static_cast<std::size_t>(a.core)];
-    if (--cd > 0) continue;
-    cd = next_period(i, a.core);
+    Slot& sl = slot(i, a.core);
+    sl.events.inc_owned();
+    if (--sl.countdown > 0) continue;
+    sl.countdown = next_period(cfg, sl);
     Sample s;
     s.tid = a.tid;
     s.core = a.core;
@@ -112,7 +121,7 @@ void PmuSet::on_access(const sim::MemAccess& a) {
     s.tlb_miss = a.result.tlb_miss;
     s.event = cfg.event;
     s.at = a.at;
-    emit(cfg, s);
+    emit(sl, s);
   }
 }
 
@@ -122,12 +131,12 @@ void PmuSet::on_compute(sim::ThreadId tid, sim::CoreId core,
   for (std::size_t i = 0; i < configs_.size(); ++i) {
     const PmuConfig& cfg = configs_[i];
     if (cfg.event != EventKind::kIbsOp) continue;  // only IBS counts ops
-    event_counts_[i].add(instrs);
-    auto& cd = countdown_[i * cores_ + static_cast<std::size_t>(core)];
+    Slot& sl = slot(i, core);
+    sl.events.add_owned(instrs);
     std::uint64_t remaining = instrs;
-    while (remaining >= cd) {
-      remaining -= cd;
-      cd = next_period(i, core);
+    while (remaining >= sl.countdown) {
+      remaining -= sl.countdown;
+      sl.countdown = next_period(cfg, sl);
       Sample s;
       s.tid = tid;
       s.core = core;
@@ -136,9 +145,9 @@ void PmuSet::on_compute(sim::ThreadId tid, sim::CoreId core,
       s.is_memory = false;
       s.event = cfg.event;
       s.at = now;
-      emit(cfg, s);
+      emit(sl, s);
     }
-    cd -= remaining;
+    sl.countdown -= remaining;
   }
 }
 

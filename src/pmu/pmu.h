@@ -92,33 +92,43 @@ class PmuSet : public sim::AccessObserver {
   void on_compute(sim::ThreadId tid, sim::CoreId core, std::uint64_t instrs,
                   sim::Addr ip, sim::Cycles now) override;
 
-  std::uint64_t samples_taken() const { return samples_.value(); }
+  std::uint64_t samples_taken() const;
   std::uint64_t events_counted(std::size_t cfg_index) const;
   const std::vector<PmuConfig>& configs() const { return configs_; }
 
  private:
+  /// Everything one (cfg, core) pair writes per event, on a cache line
+  /// of its own: the countdown, its jitter generator, and this pair's
+  /// registry cells of `pmu.events{event=...}` and `pmu.samples`. The
+  /// cells are single-writer (obs::Counter::add_owned) under the
+  /// machine's per-core contract, and the accessors sum them — so
+  /// events_counted(i) stays per-cfg even when two cfgs sample the same
+  /// event kind.
+  struct alignas(64) Slot {
+    std::uint64_t countdown = 0;
+    std::uint64_t rng = 0;
+    obs::Counter events;
+    obs::Counter samples;
+  };
+
   bool event_matches(const PmuConfig& cfg, const sim::MemAccess& a) const;
-  void emit(const PmuConfig& cfg, const Sample& sample);
-  /// Next countdown value for (cfg, core): period +/- jitter from a
-  /// deterministic per-core generator.
-  std::uint64_t next_period(std::size_t cfg_index, sim::CoreId core);
+  void emit(Slot& slot, const Sample& sample);
+  /// Next countdown value for `slot` of `cfg`: period +/- jitter from the
+  /// slot's deterministic generator.
+  std::uint64_t next_period(const PmuConfig& cfg, Slot& slot);
+  Slot& slot(std::size_t cfg_index, sim::CoreId core) {
+    return slots_[cfg_index * cores_ + static_cast<std::size_t>(core)];
+  }
 
   std::vector<PmuConfig> configs_;
   std::size_t cores_ = 0;
-  // Flattened [cfg * cores_ + core] — one indirection on the hot path.
-  std::vector<std::uint64_t> countdown_;
-  std::vector<std::uint64_t> rng_state_;
-  // Registry-backed (`pmu.events{event=...}` per cfg, `pmu.samples`).
-  // Each cfg owns its own cell, so events_counted(i) stays per-cfg even
-  // when two cfgs sample the same event kind.
-  std::vector<obs::Counter> event_counts_;  // per cfg
+  std::vector<Slot> slots_;  // [cfg * cores_ + core]
   SampleHandler handler_;
   bool enabled_ = true;
   // Written by the overload-throttle path, read by stats readers on
   // other threads — atomic (relaxed: the value is advisory, no ordering
   // with other state is implied).
   std::atomic<std::uint64_t> period_scale_{1};
-  obs::Counter samples_;
 };
 
 }  // namespace dcprof::pmu

@@ -377,7 +377,6 @@ class ShardedBackend final : public ExecBackend, public sim::DeferSink {
     rec.stack_len = static_cast<std::uint32_t>(stack.size());
     q.arena.insert(q.arena.end(), stack.begin(), stack.end());
     q.recs.push_back(rec);
-    (d.first_touch ? deferred_first_touch_ : deferred_remote_).inc();
   }
 
  private:
@@ -592,6 +591,7 @@ class ShardedBackend final : public ExecBackend, public sim::DeferSink {
   /// deferred accesses attribute to the calling context they issued in.
   void finish_epoch() {
     epochs_.inc();
+    count_deferred();
     if (aborted_.load(std::memory_order_relaxed)) {
       clear_queues();
       return;
@@ -620,6 +620,19 @@ class ShardedBackend final : public ExecBackend, public sim::DeferSink {
       record_error();
       clear_queues();
     }
+  }
+
+  /// Tallies the epoch's queued accesses by kind into
+  /// `rt.sharded.deferred{kind}` — once per epoch here, rather than a
+  /// shared-counter bump per on_deferred on every worker.
+  void count_deferred() {
+    std::uint64_t first_touch = 0, total = 0;
+    for (const Queue& q : queues_) {
+      total += q.recs.size();
+      for (const DeferredRec& rec : q.recs) first_touch += rec.d.first_touch;
+    }
+    deferred_first_touch_.add(first_touch);
+    deferred_remote_.add(total - first_touch);
   }
 
   void clear_queues() {

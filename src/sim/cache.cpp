@@ -16,79 +16,48 @@ unsigned log2_exact(std::uint64_t v, const char* what) {
 }  // namespace
 
 SetAssocCache::SetAssocCache(const CacheConfig& cfg)
-    : line_shift_(log2_exact(cfg.line_bytes, "cache line size")),
-      sets_(cfg.size_bytes / (cfg.line_bytes * cfg.associativity)),
+    : line_shift_(log2_exact(cfg.line_bytes, "cache line_bytes")),
+      set_mask_(0),
       assoc_(cfg.associativity) {
-  if (sets_ == 0) throw std::invalid_argument("cache too small for geometry");
-  log2_exact(sets_, "cache set count");
-  ways_.resize(sets_ * assoc_);
-}
-
-bool SetAssocCache::access(Addr addr) {
-  const std::size_t set = set_index(addr);
-  const Addr tag = tag_of(addr);
-  Way* base = &ways_[set * assoc_];
-  for (unsigned i = 0; i < assoc_; ++i) {
-    if (base[i].valid && base[i].tag == tag) {
-      // Move to MRU position.
-      std::rotate(base, base + i, base + i + 1);
-      ++hits_;
-      return true;
-    }
+  if (line_shift_ == 0) {
+    throw std::invalid_argument("cache line_bytes must be at least 2");
   }
-  ++misses_;
-  // Fill: shift everything down one way, insert at MRU; LRU way falls off.
-  std::rotate(base, base + assoc_ - 1, base + assoc_);
-  base[0] = Way{tag, true};
-  return false;
+  if (assoc_ == 0) {
+    throw std::invalid_argument("cache associativity must be > 0");
+  }
+  const std::size_t sets = cfg.size_bytes / (cfg.line_bytes * assoc_);
+  if (sets == 0) throw std::invalid_argument("cache too small for geometry");
+  log2_exact(sets, "cache set count");
+  set_mask_ = sets - 1;
+  tags_.assign(sets * assoc_, kInvalidTag);
 }
 
 bool SetAssocCache::contains(Addr addr) const {
-  const std::size_t set = set_index(addr);
-  const Addr tag = tag_of(addr);
-  const Way* base = &ways_[set * assoc_];
-  for (unsigned i = 0; i < assoc_; ++i) {
-    if (base[i].valid && base[i].tag == tag) return true;
-  }
-  return false;
+  const Addr tag = addr >> line_shift_;
+  const Addr* set = &tags_[(tag & set_mask_) * assoc_];
+  return std::find(set, set + assoc_, tag) != set + assoc_;
 }
 
 void SetAssocCache::invalidate(Addr addr) {
-  const std::size_t set = set_index(addr);
-  const Addr tag = tag_of(addr);
-  Way* base = &ways_[set * assoc_];
-  for (unsigned i = 0; i < assoc_; ++i) {
-    if (base[i].valid && base[i].tag == tag) {
-      base[i].valid = false;
-      return;
-    }
-  }
+  const Addr tag = addr >> line_shift_;
+  Addr* set = &tags_[(tag & set_mask_) * assoc_];
+  Addr* const end = set + assoc_;
+  Addr* way = std::find(set, end, tag);
+  if (way == end) return;
+  // Close the gap so empty ways stay behind the valid ones.
+  std::copy(way + 1, end, way);
+  end[-1] = kInvalidTag;
 }
 
 void SetAssocCache::clear() {
-  for (auto& w : ways_) w.valid = false;
+  std::fill(tags_.begin(), tags_.end(), kInvalidTag);
 }
 
 Tlb::Tlb(unsigned entries, std::size_t page_bytes)
     : page_shift_(log2_exact(page_bytes, "page size")), entries_(entries) {
-  pages_.reserve(entries_);
+  if (entries_ == 0) throw std::invalid_argument("tlb entries must be > 0");
+  pages_.resize(entries_);
 }
-
-bool Tlb::access(Addr addr) {
-  const Addr page = addr >> page_shift_;
-  auto it = std::find(pages_.begin(), pages_.end(), page);
-  if (it != pages_.end()) {
-    std::rotate(pages_.begin(), it, it + 1);
-    ++hits_;
-    return true;
-  }
-  ++misses_;
-  if (pages_.size() == entries_) pages_.pop_back();
-  pages_.insert(pages_.begin(), page);
-  return false;
-}
-
-void Tlb::clear() { pages_.clear(); }
 
 const char* to_string(MemLevel level) {
   switch (level) {

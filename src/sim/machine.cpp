@@ -10,8 +10,8 @@ AccessResult Machine::access(ThreadId tid, CoreId core, Addr ip, Addr addr,
                              std::uint32_t size, bool is_store,
                              Cycles& clock) {
   CoreCounters& cc = counts_[static_cast<std::size_t>(core)];
-  bump(cc.instructions, 1);
-  bump(cc.mem_accesses, 1);
+  obs::add_owned(cc.instructions, 1);
+  obs::add_owned(cc.mem_accesses, 1);
   if (defer_sink_ != nullptr) {
     DeferredAccess d;
     const AccessResult result =
@@ -52,7 +52,8 @@ AccessResult Machine::resolve_deferred(const DeferredAccess& d) {
 
 void Machine::compute(ThreadId tid, CoreId core, std::uint64_t instrs,
                       Addr ip, Cycles& clock) {
-  bump(counts_[static_cast<std::size_t>(core)].instructions, instrs);
+  obs::add_owned(counts_[static_cast<std::size_t>(core)].instructions,
+                 instrs);
   clock += instrs;
   if (observer_ != nullptr) {
     observer_->on_compute(tid, core, instrs, ip, clock);

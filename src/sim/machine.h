@@ -9,9 +9,10 @@
 // table) are deliberately left unsynchronized: their *results* depend on
 // access order, so callers must serialize accesses into a deterministic
 // global order anyway (rt's turn token does this, with release/acquire
-// hand-off providing the happens-before chain). Shared telemetry counters
-// (LLC/DRAM level counts, DRAM queue totals) are atomic, so they stay
-// exact even across that hand-off.
+// hand-off providing the happens-before chain). Telemetry written per
+// access is per-core (level counts, PMU cells) or per-controller (DRAM
+// queue totals) and single-writer under that same serialization, so it
+// is bumped without atomic RMWs and stays exact across the hand-off.
 //
 // Epoch-sharded contract (rt's sharded backend): while a DeferSink is
 // installed, sockets run concurrently against socket-private state and
@@ -125,18 +126,15 @@ class Machine {
  private:
   /// Retirement counters sharded per core (cache-line padded) so
   /// concurrent callers on distinct cores never contend or race. The
-  /// fields are single-writer relaxed atomics (load+add+store, not RMW):
-  /// free on the hot path, and cross-thread readers get values instead
-  /// of undefined behaviour — exactness is still only guaranteed at
-  /// quiescent points (see instructions_retired()).
+  /// fields are single-writer relaxed atomics (obs::add_owned:
+  /// load+add+store, not RMW): free on the hot path, and cross-thread
+  /// readers get values instead of undefined behaviour — exactness is
+  /// still only guaranteed at quiescent points (see
+  /// instructions_retired()).
   struct alignas(64) CoreCounters {
     std::atomic<std::uint64_t> instructions{0};
     std::atomic<std::uint64_t> mem_accesses{0};
   };
-  static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) {
-    c.store(c.load(std::memory_order_relaxed) + n,
-            std::memory_order_relaxed);
-  }
 
   MachineConfig cfg_;
   MemorySystem memory_;

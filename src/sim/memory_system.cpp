@@ -2,27 +2,25 @@
 
 namespace dcprof::sim {
 
+MemorySystem::Telemetry::Telemetry(obs::Registry& reg)
+    : l1(reg.counter("sim.accesses", {{"level", "l1"}})),
+      l2(reg.counter("sim.accesses", {{"level", "l2"}})),
+      l3(reg.counter("sim.accesses", {{"level", "l3"}})),
+      local_dram(reg.counter("sim.accesses", {{"level", "local_dram"}})),
+      remote_dram(reg.counter("sim.accesses", {{"level", "remote_dram"}})),
+      tlb_misses(reg.counter("sim.tlb_misses")),
+      prefetched(reg.counter("sim.prefetched")) {}
+
+MemorySystem::CoreState::CoreState(const MachineConfig& cfg,
+                                   obs::Registry& reg)
+    : l1(cfg.l1), l2(cfg.l2), tlb(cfg.tlb_entries, cfg.page_bytes), tm(reg) {}
+
 MemorySystem::MemorySystem(const MachineConfig& cfg)
     : cfg_(cfg), page_table_(cfg.page_bytes, cfg.num_nodes()),
       overrides_(cfg.page_bytes) {
   obs::Registry& reg = obs::Registry::global();
-  tm_.l1 = reg.counter("sim.accesses", {{"level", "l1"}});
-  tm_.l2 = reg.counter("sim.accesses", {{"level", "l2"}});
-  tm_.l3 = reg.counter("sim.accesses", {{"level", "l3"}});
-  tm_.local_dram = reg.counter("sim.accesses", {{"level", "local_dram"}});
-  tm_.remote_dram = reg.counter("sim.accesses", {{"level", "remote_dram"}});
-  tm_.tlb_misses = reg.counter("sim.tlb_misses");
-  tm_.prefetched = reg.counter("sim.prefetched");
-  const int cores = cfg_.num_cores();
-  l1_.reserve(static_cast<std::size_t>(cores));
-  l2_.reserve(static_cast<std::size_t>(cores));
-  tlbs_.reserve(static_cast<std::size_t>(cores));
-  for (int c = 0; c < cores; ++c) {
-    l1_.emplace_back(cfg_.l1);
-    l2_.emplace_back(cfg_.l2);
-    tlbs_.emplace_back(cfg_.tlb_entries, cfg_.page_bytes);
-    prefetchers_.emplace_back();
-  }
+  cores_.reserve(static_cast<std::size_t>(cfg_.num_cores()));
+  for (int c = 0; c < cfg_.num_cores(); ++c) cores_.emplace_back(cfg_, reg);
   for (int s = 0; s < cfg_.sockets; ++s) l3_.emplace_back(cfg_.l3);
   for (int n = 0; n < cfg_.num_nodes(); ++n) {
     controllers_.emplace_back(cfg_.lat.dram_service, cfg_.lat.dram_banks);
@@ -31,34 +29,34 @@ MemorySystem::MemorySystem(const MachineConfig& cfg)
 
 bool MemorySystem::walk_caches(CoreId core, Addr addr, bool is_store,
                                AccessResult& r, bool skip_tlb) {
-  const auto ci = static_cast<std::size_t>(core);
+  CoreState& cs = cores_[static_cast<std::size_t>(core)];
   if (!skip_tlb) {
-    const bool tlb_hit = tlbs_[ci].access(addr);
+    const bool tlb_hit = cs.tlb.access(addr);
     r.tlb_miss = !tlb_hit;
     if (r.tlb_miss) {
       r.latency += cfg_.lat.tlb_walk;
-      tm_.tlb_misses.inc();
+      cs.tm.tlb_misses.inc_owned();
     }
   }
 
-  if (l1_[ci].access(addr)) {
+  if (cs.l1.access(addr)) {
     // Store hits drain through the store buffer without a stall.
     r.latency += is_store ? cfg_.lat.store_hit : cfg_.lat.l1;
     r.level = MemLevel::kL1;
-    tm_.l1.inc();
+    cs.tm.l1.inc_owned();
     return true;
   }
-  if (l2_[ci].access(addr)) {
+  if (cs.l2.access(addr)) {
     r.latency += cfg_.lat.l2;
     r.level = MemLevel::kL2;
-    tm_.l2.inc();
+    cs.tm.l2.inc_owned();
     return true;
   }
   const auto si = static_cast<std::size_t>(cfg_.socket_of(core));
   if (l3_[si].access(addr)) {
     r.latency += cfg_.lat.l3;
     r.level = MemLevel::kL3;
-    tm_.l3.inc();
+    cs.tm.l3.inc_owned();
     return true;
   }
   return false;
@@ -69,8 +67,8 @@ bool MemorySystem::consult_prefetcher(CoreId core, Addr addr) {
   const Addr line = addr / cfg_.l1.line_bytes;
   const auto lines_per_page =
       static_cast<unsigned>(cfg_.page_bytes / cfg_.l1.line_bytes);
-  return prefetchers_[static_cast<std::size_t>(core)].access(line,
-                                                             lines_per_page);
+  return cores_[static_cast<std::size_t>(core)].prefetcher.access(
+      line, lines_per_page);
 }
 
 NodeId MemorySystem::touch_page(Addr addr, NodeId toucher,
@@ -82,10 +80,10 @@ NodeId MemorySystem::touch_page(Addr addr, NodeId toucher,
   return page_table_.touch(addr, toucher);
 }
 
-void MemorySystem::finish_dram(Addr addr, NodeId home, NodeId toucher,
+void MemorySystem::finish_dram(CoreId core, NodeId home, NodeId toucher,
                                bool prefetched, Cycles now, AccessResult& r,
                                const OverrideEntry* ov) {
-  (void)addr;
+  Telemetry& tm = cores_[static_cast<std::size_t>(core)].tm;
   if (ov != nullptr) {
     if (ov->latency == LatencyOverride::kZero) {
       // Oracle bound: the fill costs nothing — no DRAM time, no
@@ -94,7 +92,7 @@ void MemorySystem::finish_dram(Addr addr, NodeId home, NodeId toucher,
       r.prefetched = false;
       r.home = home;
       r.level = MemLevel::kL3;
-      tm_.l3.inc();
+      tm.l3.inc_owned();
       return;
     }
     if (ov->placement == PlacementOverride::kLocal) {
@@ -111,7 +109,7 @@ void MemorySystem::finish_dram(Addr addr, NodeId home, NodeId toucher,
         r.prefetched = false;
         r.home = home;
         r.level = MemLevel::kL3;
-        tm_.l3.inc();
+        tm.l3.inc_owned();
         return;
       }
       // Remote DRAM promoted one level: costs a local fill, served by
@@ -128,17 +126,17 @@ void MemorySystem::finish_dram(Addr addr, NodeId home, NodeId toucher,
     // consumed controller bandwidth (the serve() above).
     r.latency += cfg_.lat.prefetch_hit + r.queue_wait +
                  (remote ? cfg_.lat.prefetch_remote_extra : 0);
-    tm_.prefetched.inc();
+    tm.prefetched.inc_owned();
   } else {
     r.latency += cfg_.lat.l3 + cfg_.lat.dram + r.queue_wait +
                  (remote ? cfg_.lat.remote_extra : 0);
   }
   if (remote) {
     r.level = MemLevel::kRemoteDram;
-    tm_.remote_dram.inc();
+    tm.remote_dram.inc_owned();
   } else {
     r.level = MemLevel::kLocalDram;
-    tm_.local_dram.inc();
+    tm.local_dram.inc_owned();
   }
 }
 
@@ -153,7 +151,7 @@ AccessResult MemorySystem::access(CoreId core, Addr addr, bool is_store,
   const NodeId toucher = cfg_.node_of(core);
   const NodeId home = touch_page(addr, toucher, ov);
   const bool prefetched = consult_prefetcher(core, addr);
-  finish_dram(addr, home, toucher, prefetched, now, r, ov);
+  finish_dram(core, home, toucher, prefetched, now, r, ov);
   return r;
 }
 
@@ -184,7 +182,7 @@ AccessResult MemorySystem::access_sharded(CoreId core, Addr addr,
     // The home controller belongs to this core's socket: socket-private
     // during the epoch, serve immediately (remote_extra still applies if
     // the socket spans multiple NUMA nodes).
-    finish_dram(addr, home, toucher, prefetched, now, r, nullptr);
+    finish_dram(core, home, toucher, prefetched, now, r, nullptr);
     return r;
   }
   // Cross-socket (or unhomed) fill: queue for the epoch barrier. No
@@ -210,27 +208,31 @@ AccessResult MemorySystem::resolve_deferred(const DeferredAccess& d) {
   const OverrideEntry* ov =
       overrides_.empty() ? nullptr : overrides_.lookup(d.addr);
   const NodeId home = touch_page(d.addr, toucher, ov);
-  finish_dram(d.addr, home, toucher, d.prefetched, d.issued_at, r, ov);
+  finish_dram(d.core, home, toucher, d.prefetched, d.issued_at, r, ov);
   return r;
 }
 
 MemLevelStats MemorySystem::stats() const {
   MemLevelStats s;
-  s.l1_hits = tm_.l1.value();
-  s.l2_hits = tm_.l2.value();
-  s.l3_hits = tm_.l3.value();
-  s.local_dram = tm_.local_dram.value();
-  s.remote_dram = tm_.remote_dram.value();
-  s.tlb_misses = tm_.tlb_misses.value();
-  s.prefetched = tm_.prefetched.value();
+  for (const CoreState& cs : cores_) {
+    s.l1_hits += cs.tm.l1.value();
+    s.l2_hits += cs.tm.l2.value();
+    s.l3_hits += cs.tm.l3.value();
+    s.local_dram += cs.tm.local_dram.value();
+    s.remote_dram += cs.tm.remote_dram.value();
+    s.tlb_misses += cs.tm.tlb_misses.value();
+    s.prefetched += cs.tm.prefetched.value();
+  }
   return s;
 }
 
 void MemorySystem::flush_caches() {
-  for (auto& c : l1_) c.clear();
-  for (auto& c : l2_) c.clear();
+  for (CoreState& cs : cores_) {
+    cs.l1.clear();
+    cs.l2.clear();
+    cs.tlb.clear();
+  }
   for (auto& c : l3_) c.clear();
-  for (auto& t : tlbs_) t.clear();
 }
 
 }  // namespace dcprof::sim

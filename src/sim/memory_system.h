@@ -28,7 +28,7 @@ namespace dcprof::sim {
 /// misses ride free — an in-order artifact that misattributes latency
 /// between arrays; out-of-order cores with miss-level parallelism show
 /// IBS comparable delays on every queued miss.)
-class DramController {
+class alignas(64) DramController {
  public:
   DramController(Cycles service, unsigned banks)
       : service_(service), banks_(banks) {}
@@ -36,15 +36,17 @@ class DramController {
   /// before any concurrent access.
   DramController(DramController&& o) noexcept
       : service_(o.service_), banks_(o.banks_), backlog_(o.backlog_),
-        last_(o.last_),
-        accesses_(o.accesses_.load(std::memory_order_relaxed)),
-        total_wait_(o.total_wait_.load(std::memory_order_relaxed)) {}
+        last_(o.last_), accesses_(o.accesses()),
+        total_wait_(o.total_wait()) {}
 
   /// Serves one access issued at thread-local time `now`; returns the
   /// queueing delay it observes. Queue state (backlog/last) is shared
   /// across the node's cores and order-dependent, so callers serialize
-  /// accesses (rt's turn token); the shared counters are atomic so
-  /// readers on other threads always see exact totals.
+  /// accesses (rt's turn token, or the epoch barrier for another
+  /// socket's controller); that contract also makes the controller's
+  /// totals single-writer, so they take a plain load+add+store. They are
+  /// relaxed atomics only so readers on other threads get torn-free
+  /// values (exact at quiescent points).
   Cycles serve(Cycles now) {
     if (now > last_) {
       const Cycles drained = (now - last_) * banks_;
@@ -53,8 +55,8 @@ class DramController {
     }
     const Cycles wait = backlog_ / banks_;
     backlog_ += service_;
-    accesses_.fetch_add(1, std::memory_order_relaxed);
-    total_wait_.fetch_add(wait, std::memory_order_relaxed);
+    obs::add_owned(accesses_, 1);
+    obs::add_owned(total_wait_, wait);
     return wait;
   }
 
@@ -104,8 +106,9 @@ class StreamPrefetcher {
 };
 
 /// Aggregate hit counts per level, for machine-wide reporting. A
-/// point-in-time view assembled from this machine's registry counters
-/// (`sim.accesses{level=...}`, `sim.tlb_misses`, `sim.prefetched`).
+/// point-in-time view summed over this machine's per-core registry
+/// cells (`sim.accesses{level=...}`, `sim.tlb_misses`, `sim.prefetched`);
+/// exact at quiescent points.
 struct MemLevelStats {
   std::uint64_t l1_hits = 0;
   std::uint64_t l2_hits = 0;
@@ -179,31 +182,41 @@ class MemorySystem {
   /// `addr`. Config-gated; called once per fill, in issue order.
   bool consult_prefetcher(CoreId core, Addr addr);
   /// The DRAM leg: pays the home controller at `now`, applies the
-  /// latency formula for `prefetched`, sets level + telemetry. `ov` (may
-  /// be null) is the what-if override covering this address, applied
-  /// before any cost is charged.
-  void finish_dram(Addr addr, NodeId home, NodeId toucher, bool prefetched,
+  /// latency formula for `prefetched`, sets level + `core`'s telemetry.
+  /// `ov` (may be null) is the what-if override covering this address,
+  /// applied before any cost is charged.
+  void finish_dram(CoreId core, NodeId home, NodeId toucher, bool prefetched,
                    Cycles now, AccessResult& r, const OverrideEntry* ov);
   /// Binds the page of `addr` honouring a placement override's forced
   /// interleaving; plain first-touch semantics when `ov` is null.
   NodeId touch_page(Addr addr, NodeId toucher, const OverrideEntry* ov);
 
+  /// Registry-backed level counts of one core (`sim.accesses{level=...}`,
+  /// `sim.tlb_misses`, `sim.prefetched`): each handle is this core's own
+  /// padded cell, bumped single-writer (obs::Counter::add_owned) by
+  /// whichever thread drives the core — or by the epoch resolver, which
+  /// runs with every worker parked. stats() and the registry sum the
+  /// cells.
+  struct Telemetry {
+    explicit Telemetry(obs::Registry& reg);
+    obs::Counter l1, l2, l3, local_dram, remote_dram, tlb_misses, prefetched;
+  };
+  /// Everything one core writes per access, on cache lines of its own.
+  struct alignas(64) CoreState {
+    CoreState(const MachineConfig& cfg, obs::Registry& reg);
+    SetAssocCache l1;
+    SetAssocCache l2;
+    Tlb tlb;
+    StreamPrefetcher prefetcher;
+    Telemetry tm;
+  };
+
   MachineConfig cfg_;
-  std::vector<SetAssocCache> l1_;   // per core
-  std::vector<SetAssocCache> l2_;   // per core
-  std::vector<SetAssocCache> l3_;   // per socket
-  std::vector<Tlb> tlbs_;           // per core
-  std::vector<StreamPrefetcher> prefetchers_;  // per core
+  std::vector<CoreState> cores_;
+  std::vector<SetAssocCache> l3_;            // per socket
   std::vector<DramController> controllers_;  // per NUMA node
   PageTable page_table_;
   OverrideMap overrides_;
-
-  // Registry-backed level counts (this instance's private cells; the
-  // global registry additionally sums them machine-wide).
-  struct Telemetry {
-    obs::Counter l1, l2, l3, local_dram, remote_dram, tlb_misses, prefetched;
-  };
-  Telemetry tm_;
 };
 
 }  // namespace dcprof::sim

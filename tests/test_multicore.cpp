@@ -8,11 +8,14 @@
 //  * end-to-end backend equivalence on the case-study workloads:
 //    per-thread profiles byte-identical, merged profiles canonically
 //    equal (the ISSUE gate), checksums identical;
-//  * the ring-full / tiny-buffer fallback paths.
+//  * the ring-full / tiny-buffer fallback paths;
+//  * exact per-access telemetry: the per-core counter cells sum to the
+//    same registry totals on a concurrent backend as on its twin.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,6 +23,8 @@
 
 #include "analysis/merge.h"
 #include "core/profiler.h"
+#include "obs/registry.h"
+#include "pmu/pmu.h"
 #include "rt/exec.h"
 #include "rt/spsc.h"
 #include "rt/team.h"
@@ -525,6 +530,123 @@ TEST(ShardedEquivalence, MemoizationOffIsStillIdentical) {
         return amg.run().checksum;
       },
       pcfg);
+}
+
+// ------------------------------------------------ telemetry exactness --
+
+// The counters bumped per access or per deferral live in per-core cells
+// written without atomic RMWs. Whatever host threads drive the cores,
+// their registry totals must match the twin's exactly, and the summing
+// accessors must agree with the registry.
+struct TelemetryRun {
+  std::map<std::string, std::uint64_t> delta;  // series key -> increase
+  sim::MemLevelStats stats;
+  std::uint64_t pmu_events = 0;
+  std::uint64_t pmu_samples = 0;
+};
+
+bool is_per_access_series(const obs::SnapshotEntry& e) {
+  return e.kind == obs::MetricKind::kCounter &&
+         (e.name == "sim.accesses" || e.name == "sim.tlb_misses" ||
+          e.name == "sim.prefetched" || e.name == "pmu.events" ||
+          e.name == "pmu.samples" || e.name == "rt.sharded.deferred");
+}
+
+template <typename Body>
+TelemetryRun run_telemetry(rt::ExecConfig exec, const std::string& exe,
+                           Body&& body) {
+  const obs::Snapshot before = obs::Registry::global().snapshot();
+  TelemetryRun out;
+  {
+    ProcessCtx proc(node_config(), kThreads, exe, exec);
+    proc.enable_profiling(wl::ibs_config(512));
+    body(proc);
+    out.stats = proc.machine().memory().stats();
+    const pmu::PmuSet& pmu = *proc.pmu();
+    for (std::size_t i = 0; i < pmu.configs().size(); ++i) {
+      out.pmu_events += pmu.events_counted(i);
+    }
+    out.pmu_samples = pmu.samples_taken();
+  }
+  for (const obs::SnapshotEntry& e :
+       obs::Registry::global().snapshot().entries) {
+    if (is_per_access_series(e)) {
+      out.delta[e.key()] = e.value - before.value(e.key());
+    }
+  }
+  return out;
+}
+
+void expect_accessors_match_registry(const TelemetryRun& r) {
+  const auto d = [&r](const std::string& key) {
+    const auto it = r.delta.find(key);
+    return it == r.delta.end() ? 0 : it->second;
+  };
+  EXPECT_EQ(r.stats.l1_hits, d("sim.accesses{level=l1}"));
+  EXPECT_EQ(r.stats.l2_hits, d("sim.accesses{level=l2}"));
+  EXPECT_EQ(r.stats.l3_hits, d("sim.accesses{level=l3}"));
+  EXPECT_EQ(r.stats.local_dram, d("sim.accesses{level=local_dram}"));
+  EXPECT_EQ(r.stats.remote_dram, d("sim.accesses{level=remote_dram}"));
+  EXPECT_EQ(r.stats.tlb_misses, d("sim.tlb_misses"));
+  EXPECT_EQ(r.stats.prefetched, d("sim.prefetched"));
+  EXPECT_EQ(r.pmu_events, d("pmu.events{event=IBS_OP}"));
+  EXPECT_EQ(r.pmu_samples, d("pmu.samples"));
+  EXPECT_GT(r.stats.l1_hits, 0u);
+  EXPECT_GT(r.stats.local_dram + r.stats.remote_dram, 0u);
+  EXPECT_GT(r.stats.tlb_misses, 0u);
+  EXPECT_GT(r.pmu_samples, 0u);
+}
+
+/// Runs `body` on both backends and returns the concurrent run.
+template <typename Body>
+TelemetryRun expect_telemetry_equal(rt::ExecConfig twin,
+                                    rt::ExecConfig concurrent, Body&& body) {
+  const TelemetryRun ref = run_telemetry(twin, "telemetry", body);
+  TelemetryRun got = run_telemetry(concurrent, "telemetry", body);
+  expect_accessors_match_registry(ref);
+  expect_accessors_match_registry(got);
+  EXPECT_EQ(ref.delta, got.delta);
+  return got;
+}
+
+rt::ExecConfig exec_of(rt::BackendKind kind, bool sharded_serial = false) {
+  rt::ExecConfig exec;
+  exec.backend = kind;
+  exec.sharded_serial = sharded_serial;
+  return exec;
+}
+
+double run_small_amg(ProcessCtx& proc) {
+  wl::Amg amg(proc, small_amg());
+  return amg.run().checksum;
+}
+
+double run_small_streamcluster(ProcessCtx& proc) {
+  wl::StreamclusterParams prm;
+  prm.npoints = 8'000;
+  prm.dim = 8;
+  prm.iters = 2;
+  wl::Streamcluster sc(proc, prm);
+  return sc.run().checksum;
+}
+
+TEST(TelemetryExactness, ShardedMatchesSerialTwin) {
+  const rt::ExecConfig twin = exec_of(rt::BackendKind::kSharded, true);
+  const rt::ExecConfig par = exec_of(rt::BackendKind::kSharded);
+  for (const auto body : {run_small_amg, run_small_streamcluster}) {
+    TelemetryRun got = expect_telemetry_equal(twin, par, body);
+    EXPECT_GT(got.delta["rt.sharded.deferred{kind=first_touch}"] +
+                  got.delta["rt.sharded.deferred{kind=remote}"],
+              0u);
+  }
+}
+
+TEST(TelemetryExactness, ThreadedMatchesDeterministicTwin) {
+  const rt::ExecConfig det = exec_of(rt::BackendKind::kDeterministic);
+  const rt::ExecConfig thr = exec_of(rt::BackendKind::kThreaded);
+  for (const auto body : {run_small_amg, run_small_streamcluster}) {
+    expect_telemetry_equal(det, thr, body);
+  }
 }
 
 }  // namespace
