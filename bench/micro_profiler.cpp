@@ -310,6 +310,48 @@ void BM_MachineAccessStream(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineAccessStream);
 
+/// Forwards every event to `inner` without opting into the sample gate.
+class PassThrough final : public sim::AccessObserver {
+ public:
+  explicit PassThrough(sim::AccessObserver& inner) : inner_(inner) {}
+  void on_access(const sim::MemAccess& a) override { inner_.on_access(a); }
+  void on_compute(sim::ThreadId tid, sim::CoreId core, std::uint64_t instrs,
+                  sim::Addr ip, sim::Cycles now) override {
+    inner_.on_compute(tid, core, instrs, ip, now);
+  }
+
+ private:
+  sim::AccessObserver& inner_;
+};
+
+/// A streaming walk over 4 MiB under an IBS-1024 PmuSet, attached
+/// directly (wrapped:0, gated: called only when a sample is due) or
+/// behind a pass-through wrapper (wrapped:1, called on every access).
+void BM_MachineAccessObserved(benchmark::State& state) {
+  const sim::MachineConfig cfg = wl::node_config();
+  sim::Machine machine(cfg);
+  pmu::PmuSet pmu(cfg, wl::ibs_config(1024));
+  std::uint64_t samples = 0;
+  pmu.set_handler([&samples](const pmu::Sample&) { ++samples; });
+  PassThrough wrapper(pmu);
+  if (state.range(0) == 0) {
+    machine.set_observer(&pmu);
+  } else {
+    machine.set_observer(&wrapper);
+  }
+  sim::Cycles clock = 0;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const sim::Addr addr = 0x10000000 + (i++ * 8) % (4u << 20);
+    benchmark::DoNotOptimize(
+        machine.access(0, 0, 0x400000, addr, 8, false, clock));
+  }
+  machine.set_observer(nullptr);
+  benchmark::DoNotOptimize(samples);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MachineAccessObserved)->Arg(0)->Arg(1)->ArgNames({"wrapped"});
+
 void BM_PmuObserve(benchmark::State& state) {
   sim::MachineConfig cfg = wl::node_config();
   pmu::PmuSet pmu(cfg, wl::rmem_config(64));

@@ -338,7 +338,8 @@ class Profiler : public rt::ExecObserver {
     obs::Counter cct_nodes;       ///< CCT growth, nodes
     obs::Counter cct_bytes;       ///< CCT growth, approx bytes
     obs::Counter throttle_events; ///< overload-degradation period raises
-    obs::Histogram sample_ns_hist;
+    obs::Histogram sample_ns_hist;  ///< per sample, on every backend
+    obs::Histogram flush_ns_hist;   ///< per deferred-ingest flush
     obs::Histogram attr_depth[kNumStorageClasses];
     Telemetry();
   };

@@ -1,5 +1,7 @@
 #include "pmu/pmu.h"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace dcprof::pmu {
@@ -37,13 +39,20 @@ PmuSet::PmuSet(const sim::MachineConfig& machine_cfg,
   }
 }
 
+PmuSet::~PmuSet() {
+  if (gated_by_ != nullptr) gated_by_->set_observer(nullptr);
+}
+
 std::uint64_t PmuSet::events_counted(std::size_t cfg_index) const {
   if (cfg_index >= configs_.size()) {
     throw std::out_of_range("PmuSet::events_counted: no such cfg");
   }
+  const bool pending = gated_by_ != nullptr && enabled_ &&
+                       configs_[cfg_index].event == EventKind::kIbsOp;
   std::uint64_t sum = 0;
   for (std::size_t c = 0; c < cores_; ++c) {
     sum += slots_[cfg_index * cores_ + c].events.value();
+    if (pending) sum += gated_by_->gate_skipped(static_cast<sim::CoreId>(c));
   }
   return sum;
 }
@@ -52,6 +61,82 @@ std::uint64_t PmuSet::samples_taken() const {
   std::uint64_t sum = 0;
   for (const Slot& s : slots_) sum += s.samples.value();
   return sum;
+}
+
+bool PmuSet::on_attach(sim::Machine& machine, sim::GateFilter* filter) {
+  if (static_cast<std::size_t>(machine.config().num_cores()) != cores_) {
+    throw std::invalid_argument("PmuSet: machine core count differs");
+  }
+  if (gated_by_ != nullptr) {
+    throw std::logic_error("PmuSet: already attached to a machine");
+  }
+  sim::GateFilter f = 0;
+  for (const PmuConfig& cfg : configs_) {
+    switch (cfg.event) {
+      case EventKind::kIbsOp: break;  // the countdown covers it
+      case EventKind::kMarkedDataFromRMem:
+        f |= sim::gate_level(sim::MemLevel::kRemoteDram);
+        break;
+      case EventKind::kMarkedDataFromLMem:
+        f |= sim::gate_level(sim::MemLevel::kLocalDram);
+        break;
+      case EventKind::kMarkedDataFromL3:
+        f |= sim::gate_level(sim::MemLevel::kL3);
+        break;
+      case EventKind::kMarkedTlbMiss: f |= sim::kGateTlbMiss; break;
+    }
+  }
+  *filter = f;
+  gated_by_ = &machine;
+  for (std::size_t c = 0; c < cores_; ++c) arm(static_cast<sim::CoreId>(c));
+  return true;
+}
+
+void PmuSet::on_detach() {
+  sync();
+  gated_by_ = nullptr;
+}
+
+void PmuSet::sync() {
+  if (gated_by_ == nullptr) return;
+  for (std::size_t c = 0; c < cores_; ++c) {
+    const auto core = static_cast<sim::CoreId>(c);
+    catch_up(core);
+    arm(core);
+  }
+}
+
+void PmuSet::set_enabled(bool enabled) {
+  sync();  // fold what the old setting counted
+  enabled_ = enabled;
+  for (std::size_t c = 0; c < cores_; ++c) arm(static_cast<sim::CoreId>(c));
+}
+
+void PmuSet::catch_up(sim::CoreId core) {
+  if (gated_by_ == nullptr || !enabled_) return;
+  const std::uint64_t skipped = gated_by_->gate_skipped(core);
+  if (skipped == 0) return;
+  // Every skipped op left each IBS countdown >= 1 (the gate is their
+  // minimum), so per-event processing would only have counted them.
+  for (std::size_t i = 0; i < configs_.size(); ++i) {
+    if (configs_[i].event != EventKind::kIbsOp) continue;
+    Slot& sl = slot(i, core);
+    sl.countdown -= skipped;
+    sl.events.add_owned(skipped);
+  }
+}
+
+void PmuSet::arm(sim::CoreId core) {
+  if (gated_by_ == nullptr) return;
+  std::uint64_t ops = std::numeric_limits<std::uint64_t>::max();
+  if (enabled_) {
+    for (std::size_t i = 0; i < configs_.size(); ++i) {
+      if (configs_[i].event == EventKind::kIbsOp) {
+        ops = std::min(ops, slot(i, core).countdown);
+      }
+    }
+  }
+  gated_by_->arm_gate(core, ops);
 }
 
 void PmuSet::set_period_scale(std::uint64_t scale) {
@@ -100,6 +185,7 @@ std::uint64_t PmuSet::next_period(const PmuConfig& cfg, Slot& slot) {
 
 void PmuSet::on_access(const sim::MemAccess& a) {
   if (!enabled_) return;
+  catch_up(a.core);
   for (std::size_t i = 0; i < configs_.size(); ++i) {
     const PmuConfig& cfg = configs_[i];
     if (!event_matches(cfg, a)) continue;
@@ -123,11 +209,13 @@ void PmuSet::on_access(const sim::MemAccess& a) {
     s.at = a.at;
     emit(sl, s);
   }
+  arm(a.core);
 }
 
 void PmuSet::on_compute(sim::ThreadId tid, sim::CoreId core,
                         std::uint64_t instrs, sim::Addr ip, sim::Cycles now) {
   if (!enabled_) return;
+  catch_up(core);
   for (std::size_t i = 0; i < configs_.size(); ++i) {
     const PmuConfig& cfg = configs_[i];
     if (cfg.event != EventKind::kIbsOp) continue;  // only IBS counts ops
@@ -149,6 +237,7 @@ void PmuSet::on_compute(sim::ThreadId tid, sim::CoreId core,
     }
     sl.countdown -= remaining;
   }
+  arm(core);
 }
 
 }  // namespace dcprof::pmu

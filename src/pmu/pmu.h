@@ -64,14 +64,30 @@ struct PmuConfig {
 
 /// The machine-wide set of per-core PMUs. Each core has an independent
 /// countdown per configured event, mirroring per-core PMU hardware.
+///
+/// Attached directly to a machine, the set opts into the machine's
+/// sample gate, the way hardware counts ops in a register and only
+/// interrupts on overflow: each core's gate is armed with that core's
+/// smallest IBS countdown, and marked events are declared as the gate
+/// filter, so the machine calls the set only when a sample may be due.
+/// Each call first catches up on the ops the gate skipped (subtracted
+/// from every IBS countdown, added to `pmu.events`), then runs the
+/// per-event logic and re-arms. Called by a wrapper instead (or directly,
+/// as the tests do), the set sees every event and skips nothing; both
+/// ways take the same samples.
 class PmuSet : public sim::AccessObserver {
  public:
   PmuSet(const sim::MachineConfig& machine_cfg, std::vector<PmuConfig> cfgs);
+  /// Detaches from the machine it is gated by, if any.
+  ~PmuSet() override;
+  PmuSet(const PmuSet&) = delete;
+  PmuSet& operator=(const PmuSet&) = delete;
 
   void set_handler(SampleHandler handler) { handler_ = std::move(handler); }
 
   /// Enables/disables sample delivery without detaching from the machine.
-  void set_enabled(bool enabled) { enabled_ = enabled; }
+  /// A disabled set counts nothing. Call at quiescent points.
+  void set_enabled(bool enabled);
   bool enabled() const { return enabled_; }
 
   /// Graceful-degradation hook: multiplies every configured period by
@@ -91,8 +107,19 @@ class PmuSet : public sim::AccessObserver {
   void on_access(const sim::MemAccess& access) override;
   void on_compute(sim::ThreadId tid, sim::CoreId core, std::uint64_t instrs,
                   sim::Addr ip, sim::Cycles now) override;
+  /// Opts into the gate (one machine at a time; its core count must
+  /// match the set's).
+  bool on_attach(sim::Machine& machine, sim::GateFilter* filter) override;
+  void on_detach() override;
+
+  /// Folds the ops the gate has skipped so far into the countdowns and
+  /// the `pmu.events` cells, so registry readers see every event. Call
+  /// at quiescent points; set_enabled() and detaching call it.
+  void sync();
 
   std::uint64_t samples_taken() const;
+  /// Events `cfg_index` has counted, including ops the gate skipped but
+  /// sync() has not folded yet. Exact at quiescent points.
   std::uint64_t events_counted(std::size_t cfg_index) const;
   const std::vector<PmuConfig>& configs() const { return configs_; }
 
@@ -111,6 +138,12 @@ class PmuSet : public sim::AccessObserver {
     obs::Counter samples;
   };
 
+  /// Catches `core`'s IBS slots up on the ops its gate skipped (none
+  /// when ungated or disabled).
+  void catch_up(sim::CoreId core);
+  /// Arms `core`'s gate with its smallest IBS countdown (or never, when
+  /// disabled or no IBS event is configured).
+  void arm(sim::CoreId core);
   bool event_matches(const PmuConfig& cfg, const sim::MemAccess& a) const;
   void emit(Slot& slot, const Sample& sample);
   /// Next countdown value for `slot` of `cfg`: period +/- jitter from the
@@ -125,6 +158,7 @@ class PmuSet : public sim::AccessObserver {
   std::vector<Slot> slots_;  // [cfg * cores_ + core]
   SampleHandler handler_;
   bool enabled_ = true;
+  sim::Machine* gated_by_ = nullptr;  // machine whose gate this set arms
   // Written by the overload-throttle path, read by stats readers on
   // other threads — atomic (relaxed: the value is advisory, no ordering
   // with other state is implied).

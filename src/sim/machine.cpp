@@ -6,35 +6,41 @@ Machine::Machine(const MachineConfig& cfg)
     : cfg_(cfg), memory_(cfg),
       counts_(static_cast<std::size_t>(cfg.num_cores())) {}
 
-AccessResult Machine::access(ThreadId tid, CoreId core, Addr ip, Addr addr,
-                             std::uint32_t size, bool is_store,
-                             Cycles& clock) {
-  CoreCounters& cc = counts_[static_cast<std::size_t>(core)];
-  obs::add_owned(cc.instructions, 1);
-  obs::add_owned(cc.mem_accesses, 1);
-  if (defer_sink_ != nullptr) {
-    DeferredAccess d;
-    const AccessResult result =
-        memory_.access_sharded(core, addr, is_store, clock, &d);
-    const Cycles at = clock;
-    clock += result.latency;  // zero when deferred
-    if (result.deferred) {
-      d.tid = tid;
-      d.ip = ip;
-      d.size = size;
-      defer_sink_->on_deferred(d);
-      return result;
-    }
-    if (observer_ != nullptr) {
-      observer_->on_access(MemAccess{tid, core, ip, addr, size, is_store,
-                                     result, at});
-    }
+Machine::~Machine() { set_observer(nullptr); }
+
+void Machine::set_observer(AccessObserver* observer) {
+  if (gated_) observer_->on_detach();
+  // Ungated until the new observer opts in: every event reaches it.
+  for (CoreCounters& cc : counts_) {
+    cc.gate.store(0, std::memory_order_relaxed);
+    cc.gate_armed.store(0, std::memory_order_relaxed);
+  }
+  observer_ = nullptr;
+  gated_ = false;
+  GateFilter filter = 0;
+  const bool gated = observer != nullptr && observer->on_attach(*this, &filter);
+  observer_ = observer;
+  gated_ = gated;
+  gate_filter_ = filter;
+}
+
+AccessResult Machine::access_deferring(CoreCounters& cc, ThreadId tid,
+                                       CoreId core, Addr ip, Addr addr,
+                                       std::uint32_t size, bool is_store,
+                                       Cycles& clock) {
+  DeferredAccess d;
+  const AccessResult result =
+      memory_.access_sharded(core, addr, is_store, clock, &d);
+  const Cycles at = clock;
+  clock += result.latency;  // zero when deferred
+  if (result.deferred) {
+    d.tid = tid;
+    d.ip = ip;
+    d.size = size;
+    defer_sink_->on_deferred(d);
     return result;
   }
-  const AccessResult result = memory_.access(core, addr, is_store, clock);
-  const Cycles at = clock;
-  clock += result.latency;
-  if (observer_ != nullptr) {
+  if (observer_ != nullptr && gate_access(cc, result)) {
     observer_->on_access(MemAccess{tid, core, ip, addr, size, is_store,
                                    result, at});
   }
@@ -43,21 +49,12 @@ AccessResult Machine::access(ThreadId tid, CoreId core, Addr ip, Addr addr,
 
 AccessResult Machine::resolve_deferred(const DeferredAccess& d) {
   const AccessResult result = memory_.resolve_deferred(d);
-  if (observer_ != nullptr) {
+  if (observer_ != nullptr &&
+      gate_access(counts_[static_cast<std::size_t>(d.core)], result)) {
     observer_->on_access(MemAccess{d.tid, d.core, d.ip, d.addr, d.size,
                                    d.is_store, result, d.issued_at});
   }
   return result;
-}
-
-void Machine::compute(ThreadId tid, CoreId core, std::uint64_t instrs,
-                      Addr ip, Cycles& clock) {
-  obs::add_owned(counts_[static_cast<std::size_t>(core)].instructions,
-                 instrs);
-  clock += instrs;
-  if (observer_ != nullptr) {
-    observer_->on_compute(tid, core, instrs, ip, clock);
-  }
 }
 
 std::uint64_t Machine::instructions_retired() const {

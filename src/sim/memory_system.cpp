@@ -27,41 +27,6 @@ MemorySystem::MemorySystem(const MachineConfig& cfg)
   }
 }
 
-bool MemorySystem::walk_caches(CoreId core, Addr addr, bool is_store,
-                               AccessResult& r, bool skip_tlb) {
-  CoreState& cs = cores_[static_cast<std::size_t>(core)];
-  if (!skip_tlb) {
-    const bool tlb_hit = cs.tlb.access(addr);
-    r.tlb_miss = !tlb_hit;
-    if (r.tlb_miss) {
-      r.latency += cfg_.lat.tlb_walk;
-      cs.tm.tlb_misses.inc_owned();
-    }
-  }
-
-  if (cs.l1.access(addr)) {
-    // Store hits drain through the store buffer without a stall.
-    r.latency += is_store ? cfg_.lat.store_hit : cfg_.lat.l1;
-    r.level = MemLevel::kL1;
-    cs.tm.l1.inc_owned();
-    return true;
-  }
-  if (cs.l2.access(addr)) {
-    r.latency += cfg_.lat.l2;
-    r.level = MemLevel::kL2;
-    cs.tm.l2.inc_owned();
-    return true;
-  }
-  const auto si = static_cast<std::size_t>(cfg_.socket_of(core));
-  if (l3_[si].access(addr)) {
-    r.latency += cfg_.lat.l3;
-    r.level = MemLevel::kL3;
-    cs.tm.l3.inc_owned();
-    return true;
-  }
-  return false;
-}
-
 bool MemorySystem::consult_prefetcher(CoreId core, Addr addr) {
   if (!cfg_.lat.prefetch_enabled) return false;
   const Addr line = addr / cfg_.l1.line_bytes;
@@ -140,33 +105,18 @@ void MemorySystem::finish_dram(CoreId core, NodeId home, NodeId toucher,
   }
 }
 
-AccessResult MemorySystem::access(CoreId core, Addr addr, bool is_store,
-                                  Cycles now) {
-  AccessResult r;
-  const OverrideEntry* ov =
-      overrides_.empty() ? nullptr : overrides_.lookup(addr);
-  const bool skip_tlb = ov != nullptr && ov->latency != LatencyOverride::kNone;
-  if (walk_caches(core, addr, is_store, r, skip_tlb)) return r;
-  // DRAM fill: bind the page (first touch) and pay the home controller.
+void MemorySystem::fill_dram(CoreId core, Addr addr, Cycles now,
+                             AccessResult& r, const OverrideEntry* ov) {
   const NodeId toucher = cfg_.node_of(core);
   const NodeId home = touch_page(addr, toucher, ov);
   const bool prefetched = consult_prefetcher(core, addr);
   finish_dram(core, home, toucher, prefetched, now, r, ov);
-  return r;
 }
 
-AccessResult MemorySystem::access_sharded(CoreId core, Addr addr,
-                                          bool is_store, Cycles now,
-                                          DeferredAccess* out) {
-  AccessResult r;
-  // Overridden addresses always defer below: a placement override may
-  // redirect the fill to another socket's controller, so the only safe
-  // point to apply it is the barrier's canonical order. Normal runs
-  // (empty table) pay one branch here.
-  const OverrideEntry* ov =
-      overrides_.empty() ? nullptr : overrides_.lookup(addr);
-  const bool skip_tlb = ov != nullptr && ov->latency != LatencyOverride::kNone;
-  if (walk_caches(core, addr, is_store, r, skip_tlb)) return r;
+void MemorySystem::fill_sharded(CoreId core, Addr addr, bool is_store,
+                                Cycles now, AccessResult& r,
+                                const OverrideEntry* ov,
+                                DeferredAccess* out) {
   // The prefetcher is core-private: consult it now, in issue order, so
   // its training sequence is identical whether the fill resolves
   // immediately or at the barrier.
@@ -176,6 +126,9 @@ AccessResult MemorySystem::access_sharded(CoreId core, Addr addr,
   // order-dependent shared state), so concurrent socket shards can all
   // read the table safely.
   const NodeId home = page_table_.node_of(addr);
+  // Overridden addresses always defer: a placement override may
+  // redirect the fill to another socket's controller, so the only safe
+  // point to apply it is the barrier's canonical order.
   const bool overridden = ov != nullptr;
   if (!overridden && home != kNoNode &&
       cfg_.socket_of_node(home) == cfg_.socket_of(core)) {
@@ -183,7 +136,7 @@ AccessResult MemorySystem::access_sharded(CoreId core, Addr addr,
     // during the epoch, serve immediately (remote_extra still applies if
     // the socket spans multiple NUMA nodes).
     finish_dram(core, home, toucher, prefetched, now, r, nullptr);
-    return r;
+    return;
   }
   // Cross-socket (or unhomed) fill: queue for the epoch barrier. No
   // latency is charged at issue; resolve_deferred computes all of it
@@ -197,7 +150,6 @@ AccessResult MemorySystem::access_sharded(CoreId core, Addr addr,
   out->issued_at = now;
   r.latency = 0;
   r.deferred = true;
-  return r;
 }
 
 AccessResult MemorySystem::resolve_deferred(const DeferredAccess& d) {
@@ -205,8 +157,7 @@ AccessResult MemorySystem::resolve_deferred(const DeferredAccess& d) {
   r.tlb_miss = d.tlb_miss;
   if (d.tlb_miss) r.latency += cfg_.lat.tlb_walk;
   const NodeId toucher = cfg_.node_of(d.core);
-  const OverrideEntry* ov =
-      overrides_.empty() ? nullptr : overrides_.lookup(d.addr);
+  const OverrideEntry* ov = override_of(d.addr);
   const NodeId home = touch_page(d.addr, toucher, ov);
   finish_dram(d.core, home, toucher, d.prefetched, d.issued_at, r, ov);
   return r;

@@ -126,8 +126,15 @@ class MemorySystem {
  public:
   explicit MemorySystem(const MachineConfig& cfg);
 
-  /// Resolves one access by `core` at thread-local time `now`.
-  AccessResult access(CoreId core, Addr addr, bool is_store, Cycles now);
+  /// Resolves one access by `core` at thread-local time `now`. The
+  /// cache walk is inline; DRAM fills leave it through fill_dram().
+  AccessResult access(CoreId core, Addr addr, bool is_store, Cycles now) {
+    AccessResult r;
+    const OverrideEntry* ov = override_of(addr);
+    if (walk_caches(core, addr, is_store, r, skips_tlb(ov))) return r;
+    fill_dram(core, addr, now, r, ov);
+    return r;
+  }
 
   /// Epoch-sharded variant of access() (rt's sharded backend): the cache
   /// walk, prefetcher consult, and *same-socket* DRAM fills resolve
@@ -139,7 +146,14 @@ class MemorySystem {
   /// Concurrency: callers on cores of *distinct sockets* may overlap; the
   /// page table is only read (no first touches happen mid-epoch).
   AccessResult access_sharded(CoreId core, Addr addr, bool is_store,
-                              Cycles now, DeferredAccess* out);
+                              Cycles now, DeferredAccess* out) {
+    AccessResult r;
+    // Overridden addresses always defer (see fill_sharded).
+    const OverrideEntry* ov = override_of(addr);
+    if (walk_caches(core, addr, is_store, r, skips_tlb(ov))) return r;
+    fill_sharded(core, addr, is_store, now, r, ov, out);
+    return r;
+  }
 
   /// Resolves one deferred access at an epoch barrier: binds the page
   /// (first touch), pays the home DRAM controller at the access's issue
@@ -168,6 +182,15 @@ class MemorySystem {
   void flush_caches();
 
  private:
+  /// The what-if override covering `addr`; null in normal runs (empty
+  /// table), which pay one branch here.
+  const OverrideEntry* override_of(Addr addr) const {
+    return overrides_.empty() ? nullptr : overrides_.lookup(addr);
+  }
+  /// Latency-overridden accesses bypass the TLB (see walk_caches).
+  static bool skips_tlb(const OverrideEntry* ov) {
+    return ov != nullptr && ov->latency != LatencyOverride::kNone;
+  }
   /// TLB + L1/L2/L3 walk shared by access() and access_sharded(); fills
   /// caches on miss. Returns true when a cache satisfied the access (`r`
   /// is complete); false when it falls through to DRAM (`r` carries the
@@ -178,6 +201,15 @@ class MemorySystem {
   /// entries survive instead of being thrashed).
   bool walk_caches(CoreId core, Addr addr, bool is_store, AccessResult& r,
                    bool skip_tlb);
+  /// access()'s DRAM leg: binds the page (first touch), consults the
+  /// prefetcher and pays the home controller.
+  void fill_dram(CoreId core, Addr addr, Cycles now, AccessResult& r,
+                 const OverrideEntry* ov);
+  /// access_sharded()'s DRAM leg: serves a same-socket fill now, or
+  /// fills `*out` and marks `r` deferred.
+  void fill_sharded(CoreId core, Addr addr, bool is_store, Cycles now,
+                    AccessResult& r, const OverrideEntry* ov,
+                    DeferredAccess* out);
   /// Consults (and trains) `core`'s stream prefetcher for a DRAM fill of
   /// `addr`. Config-gated; called once per fill, in issue order.
   bool consult_prefetcher(CoreId core, Addr addr);
@@ -218,5 +250,40 @@ class MemorySystem {
   PageTable page_table_;
   OverrideMap overrides_;
 };
+
+inline bool MemorySystem::walk_caches(CoreId core, Addr addr, bool is_store,
+                                      AccessResult& r, bool skip_tlb) {
+  CoreState& cs = cores_[static_cast<std::size_t>(core)];
+  if (!skip_tlb) {
+    const bool tlb_hit = cs.tlb.access(addr);
+    r.tlb_miss = !tlb_hit;
+    if (r.tlb_miss) {
+      r.latency += cfg_.lat.tlb_walk;
+      cs.tm.tlb_misses.inc_owned();
+    }
+  }
+
+  if (cs.l1.access(addr)) {
+    // Store hits drain through the store buffer without a stall.
+    r.latency += is_store ? cfg_.lat.store_hit : cfg_.lat.l1;
+    r.level = MemLevel::kL1;
+    cs.tm.l1.inc_owned();
+    return true;
+  }
+  if (cs.l2.access(addr)) {
+    r.latency += cfg_.lat.l2;
+    r.level = MemLevel::kL2;
+    cs.tm.l2.inc_owned();
+    return true;
+  }
+  const auto si = static_cast<std::size_t>(cfg_.socket_of(core));
+  if (l3_[si].access(addr)) {
+    r.latency += cfg_.lat.l3;
+    r.level = MemLevel::kL3;
+    cs.tm.l3.inc_owned();
+    return true;
+  }
+  return false;
+}
 
 }  // namespace dcprof::sim

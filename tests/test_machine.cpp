@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
+
+#include "obs/registry.h"
+#include "pmu/pmu.h"
 
 namespace dcprof::sim {
 namespace {
@@ -101,6 +105,215 @@ TEST(Machine, DetachingObserverStopsCallbacks) {
   machine.set_observer(nullptr);
   machine.access(0, 0, 0, 0x10000000, 8, false, clock);
   EXPECT_EQ(obs.accesses.size(), 1u);
+}
+
+// ---------------------------------------------------------- sample gate --
+
+/// Opts into the gate with a fixed arm value and filter; records the ops
+/// skipped before each call and re-arms.
+class GateProbe : public AccessObserver {
+ public:
+  GateProbe(std::uint64_t arm, GateFilter filter)
+      : arm_(arm), filter_(filter) {}
+  ~GateProbe() override {
+    if (machine_ != nullptr) machine_->set_observer(nullptr);
+  }
+  bool on_attach(Machine& machine, GateFilter* filter) override {
+    machine_ = &machine;
+    *filter = filter_;
+    for (int c = 0; c < machine.config().num_cores(); ++c) {
+      machine.arm_gate(c, arm_);
+    }
+    return true;
+  }
+  void on_detach() override { machine_ = nullptr; }
+  void on_access(const MemAccess& a) override { called(a.core); }
+  void on_compute(ThreadId, CoreId core, std::uint64_t, Addr,
+                  Cycles) override {
+    called(core);
+  }
+  std::vector<std::uint64_t> skipped;  // per call
+  Machine* machine_ = nullptr;
+
+ private:
+  void called(CoreId core) {
+    skipped.push_back(machine_->gate_skipped(core));
+    machine_->arm_gate(core, arm_);
+  }
+  std::uint64_t arm_;
+  GateFilter filter_;
+};
+
+std::uint64_t ibs_events_in_registry() {
+  return obs::Registry::global().snapshot().value("pmu.events{event=IBS_OP}");
+}
+
+TEST(SampleGate, AccessLandingExactlyOnExpiryIsDelivered) {
+  Machine machine(tiny());
+  GateProbe probe(3, 0);
+  machine.set_observer(&probe);
+  Cycles clock = 0;
+  machine.access(0, 0, 0, 0x10000000, 8, false, clock);
+  machine.access(0, 0, 0, 0x10000000, 8, false, clock);
+  EXPECT_TRUE(probe.skipped.empty());
+  EXPECT_EQ(machine.gate_skipped(0), 2u);
+  EXPECT_EQ(machine.gate_skipped(1), 0u);  // per core
+  machine.access(0, 0, 0, 0x10000000, 8, false, clock);
+  ASSERT_EQ(probe.skipped.size(), 1u);
+  EXPECT_EQ(probe.skipped[0], 2u);
+  EXPECT_EQ(machine.gate_skipped(0), 0u);
+  // Compute ops count down the same gate: 2 ops skip, the next expires.
+  machine.compute(0, 0, 2, 0, clock);
+  EXPECT_EQ(probe.skipped.size(), 1u);
+  machine.compute(0, 0, 1, 0, clock);
+  ASSERT_EQ(probe.skipped.size(), 2u);
+  EXPECT_EQ(probe.skipped[1], 2u);
+  EXPECT_EQ(machine.instructions_retired(), 6u);  // counted either way
+}
+
+TEST(SampleGate, FilteredAccessesAreDeliveredWhateverTheGate) {
+  Machine machine(tiny());
+  GateProbe probe(1'000'000, kGateTlbMiss | gate_level(MemLevel::kL2));
+  machine.set_observer(&probe);
+  Cycles clock = 0;
+  machine.access(0, 0, 0, 0x10000000, 8, false, clock);  // TLB miss
+  ASSERT_EQ(probe.skipped.size(), 1u);
+  machine.access(0, 0, 0, 0x10000000, 8, false, clock);  // L1 + TLB hit
+  EXPECT_EQ(probe.skipped.size(), 1u);
+  EXPECT_EQ(machine.gate_skipped(0), 1u);
+}
+
+TEST(SampleGate, ComputeBatchSpanningSeveralPeriods) {
+  Machine machine(tiny());
+  pmu::PmuSet gated(tiny(), {pmu::PmuConfig{pmu::EventKind::kIbsOp, 10, 0, 0}});
+  pmu::PmuSet direct(tiny(), {pmu::PmuConfig{pmu::EventKind::kIbsOp, 10, 0, 0}});
+  std::vector<pmu::Sample> got, want;
+  gated.set_handler([&](const pmu::Sample& s) { got.push_back(s); });
+  direct.set_handler([&](const pmu::Sample& s) { want.push_back(s); });
+  machine.set_observer(&gated);
+  Cycles clock = 0;
+  for (const std::uint64_t instrs : {25u, 4u, 1u, 3u, 47u, 0u, 9u}) {
+    machine.compute(0, 1, instrs, 0x500000, clock);
+    direct.on_compute(0, 1, instrs, 0x500000, clock);
+    EXPECT_EQ(gated.events_counted(0), direct.events_counted(0));
+  }
+  // 25 -> 2 samples; 4 skipped; 1 lands on expiry; 3 + 47 -> 5; 9 skipped.
+  ASSERT_EQ(got.size(), 8u);
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].at, want[i].at);
+    EXPECT_EQ(got[i].core, 1);
+    EXPECT_FALSE(got[i].is_memory);
+  }
+  EXPECT_EQ(gated.events_counted(0), 89u);
+}
+
+TEST(SampleGate, PmuSampleLandsOnTheExpiringAccess) {
+  Machine machine(tiny());
+  pmu::PmuSet pmu(tiny(), {pmu::PmuConfig{pmu::EventKind::kIbsOp, 4, 0, 0}});
+  std::vector<pmu::Sample> samples;
+  pmu.set_handler([&](const pmu::Sample& s) { samples.push_back(s); });
+  machine.set_observer(&pmu);
+  Cycles clock = 0;
+  for (Addr i = 0; i < 8; ++i) {
+    machine.access(0, 2, 0x400000 + i, 0x10000000 + i * 64, 8, false, clock);
+    EXPECT_EQ(samples.size(), (i + 1) / 4);
+  }
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].eaddr, 0x10000000u + 3 * 64);
+  EXPECT_EQ(samples[1].precise_ip, 0x400000u + 7);
+}
+
+TEST(SampleGate, SwappingOrNullingTheObserverFoldsPendingEvents) {
+  Machine machine(tiny());
+  pmu::PmuSet pmu(tiny(),
+                  {pmu::PmuConfig{pmu::EventKind::kIbsOp, 100, 0, 0}});
+  std::vector<pmu::Sample> samples;
+  pmu.set_handler([&](const pmu::Sample& s) { samples.push_back(s); });
+  const std::uint64_t base = ibs_events_in_registry();
+  machine.set_observer(&pmu);
+  Cycles clock = 0;
+  for (int i = 0; i < 50; ++i) {
+    machine.access(0, 0, 0, 0x10000000, 8, false, clock);
+  }
+  EXPECT_EQ(pmu.events_counted(0), 50u);
+  // Swap in an ungated observer: the PMU's pending ops are folded, and
+  // the new observer sees every access — no stale gate survives.
+  RecordingObserver rec;
+  machine.set_observer(&rec);
+  EXPECT_EQ(ibs_events_in_registry() - base, 50u);
+  for (int i = 0; i < 3; ++i) {
+    machine.access(0, 0, 0, 0x10000000, 8, false, clock);
+  }
+  machine.compute(0, 0, 0, 0, clock);
+  EXPECT_EQ(rec.accesses.size(), 3u);
+  EXPECT_EQ(rec.computes.size(), 1u);
+  // Back to the PMU: its countdown resumes where it stopped (50 left).
+  machine.set_observer(&pmu);
+  for (int i = 0; i < 49; ++i) {
+    machine.access(0, 0, 0, 0x10000000, 8, false, clock);
+  }
+  EXPECT_TRUE(samples.empty());
+  machine.access(0, 0, 0, 0x10000000, 8, false, clock);
+  EXPECT_EQ(samples.size(), 1u);
+  for (int i = 0; i < 10; ++i) {
+    machine.access(0, 0, 0, 0x10000000, 8, false, clock);
+  }
+  // Nulling folds too.
+  machine.set_observer(nullptr);
+  EXPECT_EQ(ibs_events_in_registry() - base, 110u);
+  EXPECT_EQ(pmu.events_counted(0), 110u);
+  machine.access(0, 0, 0, 0x10000000, 8, false, clock);
+  EXPECT_EQ(pmu.events_counted(0), 110u);
+}
+
+TEST(SampleGate, DisabledPmuCountsNothingAndResumesItsCountdown) {
+  Machine machine(tiny());
+  pmu::PmuSet pmu(tiny(), {pmu::PmuConfig{pmu::EventKind::kIbsOp, 5, 0, 0}});
+  std::vector<pmu::Sample> samples;
+  pmu.set_handler([&](const pmu::Sample& s) { samples.push_back(s); });
+  machine.set_observer(&pmu);
+  Cycles clock = 0;
+  machine.compute(0, 0, 2, 0, clock);
+  pmu.set_enabled(false);
+  machine.compute(0, 0, 20, 0, clock);
+  for (int i = 0; i < 20; ++i) {
+    machine.access(0, 0, 0, 0x10000000, 8, false, clock);
+  }
+  EXPECT_TRUE(samples.empty());
+  EXPECT_EQ(pmu.events_counted(0), 2u);
+  pmu.set_enabled(true);
+  machine.compute(0, 0, 2, 0, clock);
+  EXPECT_TRUE(samples.empty());
+  machine.access(0, 0, 0, 0x10000000, 8, false, clock);
+  EXPECT_EQ(samples.size(), 1u);
+  EXPECT_EQ(pmu.events_counted(0), 5u);
+}
+
+TEST(SampleGate, EitherSideMayBeDestroyedFirst) {
+  auto machine = std::make_unique<Machine>(tiny());
+  pmu::PmuSet pmu(tiny(), {pmu::PmuConfig{pmu::EventKind::kIbsOp, 8, 0, 0}});
+  machine->set_observer(&pmu);
+  Cycles clock = 0;
+  machine->compute(0, 0, 3, 0, clock);
+  machine.reset();  // detaches, folding the 3 pending ops
+  EXPECT_EQ(pmu.events_counted(0), 3u);
+  Machine other(tiny());
+  {
+    pmu::PmuSet scoped(tiny(), {pmu::PmuConfig{pmu::EventKind::kIbsOp, 8, 0, 0}});
+    other.set_observer(&scoped);
+  }
+  EXPECT_EQ(other.observer(), nullptr);
+  other.access(0, 0, 0, 0x10000000, 8, false, clock);
+}
+
+TEST(SampleGate, PmuRejectsAMachineOfAnotherShape) {
+  Machine machine(tiny());
+  MachineConfig bigger = tiny();
+  bigger.sockets = 4;
+  pmu::PmuSet pmu(bigger, {pmu::PmuConfig{pmu::EventKind::kIbsOp, 8, 0, 0}});
+  EXPECT_THROW(machine.set_observer(&pmu), std::invalid_argument);
+  EXPECT_EQ(machine.observer(), nullptr);
 }
 
 TEST(MachineConfig, CoreToNodeMapping) {

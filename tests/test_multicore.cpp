@@ -16,9 +16,11 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "analysis/merge.h"
@@ -26,6 +28,7 @@
 #include "obs/registry.h"
 #include "pmu/pmu.h"
 #include "rt/exec.h"
+#include "rt/sim_array.h"
 #include "rt/spsc.h"
 #include "rt/team.h"
 #include "verify/invariants.h"
@@ -647,6 +650,234 @@ TEST(TelemetryExactness, ThreadedMatchesDeterministicTwin) {
   for (const auto body : {run_small_amg, run_small_streamcluster}) {
     expect_telemetry_equal(det, thr, body);
   }
+}
+
+// ------------------------------------------------------ PMU sample gate --
+
+// Attached directly, a PmuSet opts into the machine's sample gate and is
+// called only when a sample may be due (or a marked event's access
+// arrives); behind a wrapper that does not opt in, it sees every event.
+// Both must take exactly the same samples and count the same events, on
+// every backend, through throttling and enable/disable.
+
+/// Every sample's fields, comparable as one value.
+auto sample_fields(const pmu::Sample& s) {
+  return std::make_tuple(s.tid, s.core, s.precise_ip, s.signal_ip,
+                         s.is_memory, s.eaddr, s.size, s.is_store,
+                         s.latency, s.source, s.tlb_miss, s.event, s.at);
+}
+using SampleFields = decltype(sample_fields(pmu::Sample{}));
+
+/// Samples per core, in delivery order (the order within one core is
+/// deterministic on every backend; across cores it is not).
+struct SampleLog {
+  std::mutex mu;
+  std::vector<std::vector<SampleFields>> by_core;
+  explicit SampleLog(int cores) : by_core(static_cast<std::size_t>(cores)) {}
+  void add(const pmu::Sample& s) {
+    std::lock_guard lock(mu);
+    by_core[static_cast<std::size_t>(s.core)].push_back(sample_fields(s));
+  }
+  std::size_t count(sim::CoreId core) {
+    std::lock_guard lock(mu);
+    return by_core[static_cast<std::size_t>(core)].size();
+  }
+};
+
+/// A PmuSet that counts its calls that neither took a sample nor carried
+/// a marked event's access: with a tight gate there are none.
+class CountingPmu final : public pmu::PmuSet {
+ public:
+  CountingPmu(const sim::MachineConfig& cfg, std::vector<pmu::PmuConfig> c,
+              SampleLog& log)
+      : PmuSet(cfg, std::move(c)), log_(log) {}
+  void on_access(const sim::MemAccess& a) override {
+    const std::size_t n0 = log_.count(a.core);
+    PmuSet::on_access(a);
+    if (log_.count(a.core) == n0 && !marked(a)) ++wasted_;
+  }
+  void on_compute(sim::ThreadId tid, sim::CoreId core, std::uint64_t instrs,
+                  sim::Addr ip, sim::Cycles now) override {
+    const std::size_t n0 = log_.count(core);
+    PmuSet::on_compute(tid, core, instrs, ip, now);
+    if (log_.count(core) == n0) ++wasted_;
+  }
+  std::uint64_t wasted() const { return wasted_.load(); }
+
+ private:
+  bool marked(const sim::MemAccess& a) const {
+    for (const pmu::PmuConfig& c : configs()) {
+      const sim::MemLevel l = a.result.level;
+      switch (c.event) {
+        case pmu::EventKind::kIbsOp: break;
+        case pmu::EventKind::kMarkedDataFromRMem:
+          if (l == sim::MemLevel::kRemoteDram) return true;
+          break;
+        case pmu::EventKind::kMarkedDataFromLMem:
+          if (l == sim::MemLevel::kLocalDram) return true;
+          break;
+        case pmu::EventKind::kMarkedDataFromL3:
+          if (l == sim::MemLevel::kL3) return true;
+          break;
+        case pmu::EventKind::kMarkedTlbMiss:
+          if (a.result.tlb_miss) return true;
+          break;
+      }
+    }
+    return false;
+  }
+  SampleLog& log_;
+  std::atomic<std::uint64_t> wasted_{0};
+};
+
+/// Forwards every event without opting into the gate.
+class PassThrough final : public sim::AccessObserver {
+ public:
+  explicit PassThrough(sim::AccessObserver& inner) : inner_(inner) {}
+  void on_access(const sim::MemAccess& a) override { inner_.on_access(a); }
+  void on_compute(sim::ThreadId tid, sim::CoreId core, std::uint64_t instrs,
+                  sim::Addr ip, sim::Cycles now) override {
+    inner_.on_compute(tid, core, instrs, ip, now);
+  }
+
+ private:
+  sim::AccessObserver& inner_;
+};
+
+struct GateRun {
+  std::vector<std::vector<SampleFields>> samples;  // by core
+  std::vector<std::uint64_t> events;               // events_counted(i)
+  std::uint64_t samples_taken = 0;
+  std::uint64_t wasted = 0;
+  std::map<std::string, std::uint64_t> delta;      // per-access series
+};
+
+/// A kernel with every kind of event: first touch on one socket, then
+/// remote and local DRAM fills, page-strided reads (TLB misses), stores
+/// and compute batches of up to ~1000 ops; throttled and disabled for a
+/// phase each, at quiescent points.
+GateRun run_gated(rt::ExecConfig exec, std::vector<pmu::PmuConfig> cfgs,
+                  bool wrapped) {
+  const obs::Snapshot before = obs::Registry::global().snapshot();
+  GateRun out;
+  {
+    ProcessCtx proc(node_config(), kThreads, "pmu-gate", exec);
+    const sim::MachineConfig& mc = proc.machine().config();
+    SampleLog log(mc.num_cores());
+    CountingPmu pmu(mc, cfgs, log);
+    pmu.set_handler([&log](const pmu::Sample& s) { log.add(s); });
+    PassThrough wrapper(pmu);
+    if (wrapped) {
+      proc.machine().set_observer(&wrapper);
+    } else {
+      proc.machine().set_observer(&pmu);
+    }
+    binfmt::LoadModule& exe = proc.exe();
+    const auto f = exe.add_function("kernel", "gate.c");
+    const sim::Addr ip_init = exe.add_instr(f, 1);
+    const sim::Addr ip_read = exe.add_instr(f, 2);
+    const sim::Addr ip_work = exe.add_instr(f, 3);
+    constexpr std::int64_t kN = 24'000;
+    rt::SimArray<double> a;
+    rt::SimArray<double> b;
+    proc.team().single([&](rt::ThreadCtx& t) {
+      a = rt::SimArray<double>::malloc_in(proc.alloc(), t, kN, ip_init);
+      b = rt::SimArray<double>::malloc_in(proc.alloc(), t, kN, ip_init);
+      for (std::int64_t i = 0; i < kN; ++i) {
+        a.set(t, static_cast<std::uint64_t>(i), 1.0, ip_init);
+      }
+    });
+    const auto sweep = [&](std::int64_t stride) {
+      proc.team().parallel_for(0, kN, [&](rt::ThreadCtx& t, std::int64_t i) {
+        const auto j = static_cast<std::uint64_t>((i * stride) % kN);
+        const double v = a.get(t, j, ip_read);
+        if (i % 3 == 0) b.set(t, j, v, ip_work);
+        if (i % 5 == 0) t.compute(static_cast<std::uint64_t>(i % 997), ip_work);
+      });
+    };
+    sweep(1);
+    pmu.set_period_scale(2);
+    sweep(513);  // one element per page: TLB misses
+    pmu.set_enabled(false);
+    sweep(7);
+    pmu.set_enabled(true);
+    sweep(1);
+    for (std::size_t i = 0; i < pmu.configs().size(); ++i) {
+      out.events.push_back(pmu.events_counted(i));
+    }
+    proc.machine().set_observer(nullptr);
+    out.samples_taken = pmu.samples_taken();
+    out.wasted = pmu.wasted();
+    out.samples = std::move(log.by_core);
+  }
+  for (const obs::SnapshotEntry& e :
+       obs::Registry::global().snapshot().entries) {
+    if (is_per_access_series(e)) {
+      out.delta[e.key()] = e.value - before.value(e.key());
+    }
+  }
+  return out;
+}
+
+/// Runs the kernel gated and wrapped on det, threads, sockets and the
+/// sockets backend's serial twin; every pair must match exactly.
+void expect_gate_exact(const std::vector<pmu::PmuConfig>& cfgs) {
+  const rt::ExecConfig backends[] = {
+      exec_of(rt::BackendKind::kDeterministic),
+      exec_of(rt::BackendKind::kThreaded),
+      exec_of(rt::BackendKind::kSharded),
+      exec_of(rt::BackendKind::kSharded, true)};
+  for (const rt::ExecConfig& exec : backends) {
+    SCOPED_TRACE(std::string(rt::to_string(exec.backend)) +
+                 (exec.sharded_serial ? " (serial)" : ""));
+    const GateRun gated = run_gated(exec, cfgs, false);
+    const GateRun per_event = run_gated(exec, cfgs, true);
+    EXPECT_EQ(gated.samples, per_event.samples);
+    EXPECT_EQ(gated.events, per_event.events);
+    EXPECT_EQ(gated.samples_taken, per_event.samples_taken);
+    EXPECT_EQ(gated.delta, per_event.delta);
+    EXPECT_EQ(gated.wasted, 0u) << "the gate called the PMU early";
+    std::uint64_t total = 0;
+    for (const auto& core : gated.samples) total += core.size();
+    EXPECT_EQ(total, gated.samples_taken);
+    EXPECT_GT(total, 0u);
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      EXPECT_GT(gated.events[i], 0u) << "cfg " << i;
+    }
+  }
+}
+
+pmu::PmuConfig gate_cfg(pmu::EventKind kind, std::uint64_t period,
+                        std::uint64_t jitter = 0) {
+  return pmu::PmuConfig{kind, period, 2, jitter};
+}
+
+TEST(PmuGate, IbsWithJitterPeriod64) {
+  expect_gate_exact({gate_cfg(pmu::EventKind::kIbsOp, 64, 8)});
+}
+
+TEST(PmuGate, IbsWithJitterPeriod1024) {
+  expect_gate_exact({gate_cfg(pmu::EventKind::kIbsOp, 1024, 128)});
+}
+
+TEST(PmuGate, TwoIbsConfigsWithDifferentPeriods) {
+  expect_gate_exact({gate_cfg(pmu::EventKind::kIbsOp, 100),
+                     gate_cfg(pmu::EventKind::kIbsOp, 257, 16)});
+}
+
+TEST(PmuGate, IbsPlusMarkedRemoteDram) {
+  expect_gate_exact({gate_cfg(pmu::EventKind::kIbsOp, 512, 64),
+                     gate_cfg(pmu::EventKind::kMarkedDataFromRMem, 3)});
+}
+
+TEST(PmuGate, MarkedOnly) {
+  expect_gate_exact({gate_cfg(pmu::EventKind::kMarkedDataFromRMem, 2),
+                     gate_cfg(pmu::EventKind::kMarkedDataFromLMem, 3, 1),
+                     gate_cfg(pmu::EventKind::kMarkedDataFromL3, 5)});
+}
+
+TEST(PmuGate, MarkedTlbMiss) {
+  expect_gate_exact({gate_cfg(pmu::EventKind::kMarkedTlbMiss, 4, 1)});
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "obs/overhead.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
+#include "rt/exec.h"
 #include "rt/sim_array.h"
 #include "workloads/harness.h"
 
@@ -445,6 +446,51 @@ TEST(Telemetry, SnapshotCoversEveryLegacyStatsStruct) {
   ASSERT_NE(hist, nullptr);
   EXPECT_GT(hist->count, 0u);
   EXPECT_GT(snap.value("profiler.cct_nodes"), 0u);
+}
+
+// profiler.sample_ns_hist gets one entry per sample on every backend;
+// the concurrent backends' deferred-ingest flushes are timed separately
+// in profiler.flush_ns_hist.
+TEST(Telemetry, SampleLatencyHistogramCountsSamplesOnEveryBackend) {
+  TelemetryOff restore;
+  for (const rt::BackendKind kind :
+       {rt::BackendKind::kDeterministic, rt::BackendKind::kThreaded,
+        rt::BackendKind::kSharded}) {
+    SCOPED_TRACE(rt::to_string(kind));
+    obs::Registry::global().reset_for_testing();
+    obs::set_metrics_enabled(true);
+    {
+      rt::ExecConfig exec;
+      exec.backend = kind;
+      wl::ProcessCtx proc(wl::node_config(), 4, "hist-kernel", exec);
+      binfmt::LoadModule& exe = proc.exe();
+      const auto f = exe.add_function("main", "app.c");
+      const sim::Addr ip = exe.add_instr(f, 1);
+      proc.enable_profiling(wl::ibs_config(64));
+      rt::SimArray<double> a;
+      proc.team().single([&](rt::ThreadCtx& t) {
+        a = rt::SimArray<double>::calloc_in(proc.alloc(), t, 20'000, ip);
+      });
+      proc.team().parallel_for(0, 20'000,
+                               [&](rt::ThreadCtx& t, std::int64_t i) {
+                                 a.get(t, static_cast<std::uint64_t>(i), ip);
+                               });
+      proc.take_profiles();
+    }
+    obs::set_metrics_enabled(false);
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    const obs::SnapshotEntry* hist = snap.find("profiler.sample_ns_hist");
+    const obs::SnapshotEntry* flush = snap.find("profiler.flush_ns_hist");
+    ASSERT_NE(hist, nullptr);
+    ASSERT_NE(flush, nullptr);
+    EXPECT_GT(hist->count, 0u);
+    EXPECT_EQ(hist->count, snap.value("pmu.samples"));
+    if (kind == rt::BackendKind::kDeterministic) {
+      EXPECT_EQ(flush->count, 0u);
+    } else {
+      EXPECT_GT(flush->count, 0u);
+    }
+  }
 }
 
 TEST(Telemetry, StatsAccessorsMatchRegistrySeries) {
