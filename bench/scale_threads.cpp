@@ -1,54 +1,13 @@
-// BM_ScaleThreads — aggregate sample-handling throughput of the
-// deferred-ingest path as the producer count grows 1 -> 8.
-//
-// Each producer thread owns a registered ThreadCtx and drives samples
-// through the concurrent path exactly as the ThreadedBackend does:
-// `handle_sample` (cheap classification + per-thread buffer append),
-// a periodic epoch flush (`on_slice_retired`: batch attribution on the
-// owning thread + SPSC handoff), while a consumer thread polls the
-// rings. Nothing in that path takes a global lock, so per-sample cost
-// must not grow with the thread count.
-//
-// Two rates are reported per thread count N:
-//
-//   items_per_second       wall-clock samples/sec. Scales with the
-//                          number of *physical cores* the host grants
-//                          the producers.
-//   agg_samples_per_sec    sum over producers of samples / that
-//                          thread's CPU time (CLOCK_THREAD_CPUTIME_ID)
-//                          spent handling them. This is the machine-
-//                          independent scalability measure: contention
-//                          (CAS retries, cache-line ping-pong, lock
-//                          spinning) inflates a producer's CPU cost
-//                          per sample, so a serialized handoff holds
-//                          this flat as N grows, while the lock-free
-//                          per-thread design keeps per-sample cost
-//                          constant and the aggregate near N x the
-//                          single-thread rate.
-//
 // BM_MeasureWall — end-to-end measurement wall-clock per execution
 // backend: a full profiled workload run (ProcessCtx + PMU + profiler),
 // which is simulation-bound, so it measures what the epoch-sharded
-// backend actually buys. tools/run_bench.sh gates sockets <= threads/2
-// at the 4-socket config on hosts with >= 4 cores.
+// backend's socket overlap buys over the deterministic one.
 //
-// tools/run_bench.sh records the suite to BENCH_scale.json and asserts
-// agg(8) >= 3x agg(1).
+// tools/run_bench.sh records the suite to BENCH_scale.json and prints the
+// det/sockets wall-clock ratio.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdint>
-#include <ctime>
-#include <memory>
-#include <thread>
-#include <vector>
-
-#include "binfmt/load_module.h"
-#include "core/profiler.h"
-#include "pmu/pmu.h"
 #include "rt/exec.h"
-#include "rt/team.h"
-#include "sim/machine.h"
 #include "workloads/harness.h"
 #include "workloads/streamcluster.h"
 
@@ -56,93 +15,14 @@ using namespace dcprof;
 
 namespace {
 
-/// CPU time consumed by the calling thread, in seconds.
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-constexpr std::uint64_t kPerThread = 20'000;
-constexpr std::uint64_t kFlushEvery = 1024;  // epoch length, in samples
-
-void BM_ScaleThreads(benchmark::State& state) {
-  const int nthreads = static_cast<int>(state.range(0));
-
-  sim::Machine machine(wl::node_config());
-  rt::Team team(machine, nthreads);
-  binfmt::ModuleRegistry modules;
-  core::Profiler prof(modules);
-  prof.enable_deferred_ingest();
-  prof.register_team(team);
-
-  double agg_rate = 0;     // sum of per-thread handling rates, averaged
-  std::uint64_t iters = 0; // ...over benchmark iterations
-  for (auto _ : state) {
-    std::vector<double> rate(static_cast<std::size_t>(nthreads), 0.0);
-    std::atomic<bool> done{false};
-    std::vector<std::thread> producers;
-    producers.reserve(static_cast<std::size_t>(nthreads));
-    for (int t = 0; t < nthreads; ++t) {
-      producers.emplace_back([&, t] {
-        rt::ThreadCtx& ctx = team.thread(t);
-        const double cpu0 = thread_cpu_seconds();
-        for (std::uint64_t i = 0; i < kPerThread; ++i) {
-          pmu::Sample s;
-          s.tid = ctx.tid();
-          s.is_memory = false;
-          s.precise_ip = 0x2000 + (i % 13) * 4;
-          s.signal_ip = s.precise_ip;
-          prof.handle_sample(s);
-          if (i % kFlushEvery == 0) prof.on_slice_retired(ctx);
-        }
-        prof.on_slice_retired(ctx);
-        rate[static_cast<std::size_t>(t)] =
-            static_cast<double>(kPerThread) /
-            (thread_cpu_seconds() - cpu0);
-      });
-    }
-    std::thread consumer([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        prof.poll_handoff();
-        std::this_thread::yield();
-      }
-    });
-    for (auto& p : producers) p.join();
-    done.store(true, std::memory_order_release);
-    consumer.join();
-    prof.drain_ingest();
-
-    for (const double r : rate) agg_rate += r;
-    ++iters;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(
-      iters * static_cast<std::uint64_t>(nthreads) * kPerThread));
-  state.counters["agg_samples_per_sec"] =
-      benchmark::Counter(agg_rate / static_cast<double>(iters));
-}
-BENCHMARK(BM_ScaleThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->ArgNames({"threads"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 // End-to-end wall clock of one profiled measurement run per backend
-// (arg: 0 = det, 1 = threads, 2 = sockets). The workload is dominated by
-// *simulation*, not sample handling — on the det and threads backends
+// (arg: the rt::BackendKind value, 0 = det, 1 = sockets). The workload is
+// dominated by *simulation*, not sample handling — on the det backend
 // every simulated access is globally serialized, so this is the series
 // the sharded backend's socket overlap shows up in.
 void BM_MeasureWall(benchmark::State& state) {
   rt::ExecConfig exec;
-  switch (state.range(0)) {
-    case 1: exec.backend = rt::BackendKind::kThreaded; break;
-    case 2: exec.backend = rt::BackendKind::kSharded; break;
-    default: exec.backend = rt::BackendKind::kDeterministic; break;
-  }
+  exec.backend = static_cast<rt::BackendKind>(state.range(0));
   wl::StreamclusterParams prm;
   prm.npoints = 20'000;
   prm.dim = 16;
@@ -160,9 +40,8 @@ void BM_MeasureWall(benchmark::State& state) {
   state.counters["checksum"] = benchmark::Counter(checksum);
 }
 BENCHMARK(BM_MeasureWall)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
+    ->Arg(static_cast<int>(rt::BackendKind::kDeterministic))
+    ->Arg(static_cast<int>(rt::BackendKind::kSharded))
     ->ArgNames({"backend"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

@@ -21,17 +21,6 @@ std::uint64_t steady_ns() {
           .count());
 }
 
-/// One access-pattern table update, keyed per patterns.h (heap -> the
-/// variable-identifying allocation-path IP, static/stack -> interned
-/// name, unknown -> 0). Runs on the owning thread at attribution time,
-/// so per-thread recording order matches the deterministic backend
-/// exactly.
-void record_pattern(ThreadProfile& tp, StorageClass cls, std::uint64_t id,
-                    const pmu::Sample& s) {
-  tp.patterns.record(static_cast<std::uint8_t>(cls), id, s.eaddr, s.is_store,
-                     static_cast<std::uint8_t>(s.source));
-}
-
 }  // namespace
 
 Profiler::Telemetry::Telemetry() {
@@ -203,9 +192,6 @@ void Profiler::handle_sample(const pmu::Sample& sample) {
     return;
   }
   if (deferred_) {
-    // Concurrent backend: do the order-sensitive classification now
-    // (we hold the turn), defer CCT attribution to the owning thread's
-    // buffer, drained after the turn token moves on.
     ingest_deferred(sample, *threads_[tid]);
     return;
   }
@@ -217,7 +203,7 @@ void Profiler::handle_sample(const pmu::Sample& sample) {
   const bool metrics = obs::metrics_enabled();
   const bool throttling = cfg_.throttle.budget_ns != 0 && pmu_ != nullptr;
   if (!metrics && !throttling) {
-    attribute_sample(sample, ctx, tp, as);
+    ingest_now(sample, ctx, tp, as);
     return;
   }
   // Metrics on: time the handler and account CCT growth across every
@@ -230,7 +216,7 @@ void Profiler::handle_sample(const pmu::Sample& sample) {
     }
   }
   const std::uint64_t t0 = steady_ns();
-  attribute_sample(sample, ctx, tp, as);
+  ingest_now(sample, ctx, tp, as);
   const std::uint64_t dt = steady_ns() - t0;
   if (metrics) {
     tm_.sample_ns.add(dt);
@@ -263,108 +249,107 @@ void Profiler::maybe_throttle() {
   tm_.throttle_events.inc();
 }
 
-void Profiler::attribute_sample(const pmu::Sample& sample, rt::ThreadCtx& ctx,
-                                ThreadProfile& tp, ThreadAttrState& as) {
-  // One watermark take per sample: every class's trusted prefix shrinks
-  // to how far the stack has unwound since the previous sample. A sample
-  // taken during an epoch-barrier replay sees a snapshot stack instead —
-  // the memo (which describes the live stack) is bypassed untouched.
-  const bool use_memo = !ctx.stack_replay_active();
-  const std::size_t watermark = ctx.take_stack_watermark();
+Profiler::Classified Profiler::classify(const pmu::Sample& sample,
+                                        ThreadProfile& tp,
+                                        ThreadAttrState& as) {
+  Classified c;
+  if (!sample.is_memory) {
+    c.cls = StorageClass::kNoMem;
+    return c;
+  }
+  // Deferred ingest classifies on several host threads at once under the
+  // sharded backend, so the heap lookup must not move the shared MRU.
+  if (const HeapBlock* block = deferred_ ? var_map_.find_no_mru(sample.eaddr)
+                                         : var_map_.find(sample.eaddr)) {
+    c.cls = StorageClass::kHeap;
+    c.heap_path = block->path.get();
+    c.var_id = block->pattern_id;
+    return c;
+  }
+  // Variable names are interned here, in sample order, so each thread's
+  // string table is the same whichever path attributes the sample.
+  if (auto hit = modules_->resolve_static(sample.eaddr)) {
+    c.cls = StorageClass::kStatic;
+    if (auto it = as.static_names.find(hit->sym->lo);
+        it != as.static_names.end()) {
+      c.var_id = it->second;
+    } else {
+      c.var_id = tp.strings.intern(hit->sym->name);
+      as.static_names.emplace(hit->sym->lo, c.var_id);
+    }
+    return c;
+  }
+  if (cfg_.attribute_stack && sample.eaddr >= sim::kStackBase) {
+    c.cls = StorageClass::kStack;
+    const std::uint64_t owner = (sample.eaddr - sim::kStackBase) >> 20;
+    if (auto it = as.stack_names.find(owner); it != as.stack_names.end()) {
+      c.var_id = it->second;
+    } else {
+      c.var_id = tp.strings.intern(
+          "stack (thread " + std::to_string(static_cast<long>(owner)) + ")");
+      as.stack_names.emplace(owner, c.var_id);
+    }
+    return c;
+  }
+  c.cls = StorageClass::kUnknown;
+  return c;
+}
+
+void Profiler::attribute(const pmu::Sample& sample, const Classified& c,
+                         std::span<const sim::Addr> stack,
+                         std::size_t watermark, bool replayed,
+                         ThreadProfile& tp, ThreadAttrState& as) {
+  // One watermark per sample: every class's trusted prefix shrinks to how
+  // far the stack has unwound since the previous sample.
+  const bool use_memo = !replayed;
   if (use_memo) {
     for (auto& memo : as.memo) memo.valid = std::min(memo.valid, watermark);
   }
-  const MetricVec m = MetricVec::from_sample(sample);
+  if (cfg_.access_patterns && c.cls != StorageClass::kNoMem) {
+    tp.patterns.record(static_cast<std::uint8_t>(c.cls), c.var_id,
+                       sample.eaddr, sample.is_store,
+                       static_cast<std::uint8_t>(sample.source));
+  }
+  Cct& cct = tp.cct(c.cls);
+  Cct::NodeId anchor = Cct::kRootId;
+  if (c.cls == StorageClass::kHeap) {
+    // Prepend the variable's allocation path (possibly unwound in another
+    // thread; AllocPaths are immutable so this copy is lock-free), then
+    // the dummy data node, then this sample's own calling context.
+    // Consecutive samples into the same variable reuse the dummy node;
+    // that memo keys on the interned path, not the stack, so replayed
+    // samples use (and refresh) it like any other.
+    if (cfg_.memoized_attribution && as.last_heap_path == c.heap_path) {
+      anchor = as.heap_anchor;
+    } else {
+      Cct::NodeId cur = Cct::kRootId;
+      for (const sim::Addr frame : c.heap_path->frames) {
+        cur = cct.child(cur, NodeKind::kCallSite, frame);
+      }
+      cur = cct.child(cur, NodeKind::kAllocPoint, c.heap_path->alloc_ip);
+      anchor = cct.child(cur, NodeKind::kVarData, 0);
+      as.last_heap_path = c.heap_path;
+      as.heap_anchor = anchor;
+    }
+  } else if (c.cls == StorageClass::kStatic ||
+             c.cls == StorageClass::kStack) {
+    anchor = cct.child(Cct::kRootId, NodeKind::kVarStatic, c.var_id);
+  }
   // The unwind from the signal context ends at the skidded IP; the paper
   // swaps in the precise IP recorded by the PMU.
   const sim::Addr leaf_ip =
       cfg_.use_precise_ip ? sample.precise_ip : sample.signal_ip;
+  attribute_context(tp, c.cls, as, anchor, stack, leaf_ip,
+                    MetricVec::from_sample(sample), use_memo);
+}
 
-  if (!sample.is_memory) {
-    tm_.class_samples[static_cast<std::size_t>(StorageClass::kNoMem)].inc();
-    attribute_context(tp, StorageClass::kNoMem, as, Cct::kRootId,
-                      ctx.call_stack(), leaf_ip, m, use_memo);
-    return;
-  }
-
-  if (const HeapBlock* block = var_map_.find(sample.eaddr)) {
-    tm_.class_samples[static_cast<std::size_t>(StorageClass::kHeap)].inc();
-    if (cfg_.access_patterns) {
-      record_pattern(tp, StorageClass::kHeap, block->pattern_id, sample);
-    }
-    // Prepend the variable's allocation path (possibly unwound in another
-    // thread; AllocPaths are immutable so this copy is lock-free), then
-    // the dummy data node, then this sample's own calling context.
-    // Consecutive samples into the same variable reuse the dummy node.
-    Cct& cct = tp.cct(StorageClass::kHeap);
-    Cct::NodeId anchor;
-    if (cfg_.memoized_attribution &&
-        as.last_heap_path == block->path.get()) {
-      anchor = as.heap_anchor;
-    } else {
-      Cct::NodeId cur = Cct::kRootId;
-      for (const sim::Addr frame : block->path->frames) {
-        cur = cct.child(cur, NodeKind::kCallSite, frame);
-      }
-      cur = cct.child(cur, NodeKind::kAllocPoint, block->path->alloc_ip);
-      anchor = cct.child(cur, NodeKind::kVarData, 0);
-      as.last_heap_path = block->path.get();
-      as.heap_anchor = anchor;
-    }
-    attribute_context(tp, StorageClass::kHeap, as, anchor, ctx.call_stack(),
-                      leaf_ip, m, use_memo);
-    return;
-  }
-
-  if (auto hit = modules_->resolve_static(sample.eaddr)) {
-    tm_.class_samples[static_cast<std::size_t>(StorageClass::kStatic)].inc();
-    StringId name;
-    if (auto it = as.static_names.find(hit->sym->lo);
-        it != as.static_names.end()) {
-      name = it->second;
-    } else {
-      name = tp.strings.intern(hit->sym->name);
-      as.static_names.emplace(hit->sym->lo, name);
-    }
-    if (cfg_.access_patterns) {
-      record_pattern(tp, StorageClass::kStatic, name, sample);
-    }
-    Cct& cct = tp.cct(StorageClass::kStatic);
-    const Cct::NodeId dummy =
-        cct.child(Cct::kRootId, NodeKind::kVarStatic, name);
-    attribute_context(tp, StorageClass::kStatic, as, dummy, ctx.call_stack(),
-                      leaf_ip, m, use_memo);
-    return;
-  }
-
-  if (cfg_.attribute_stack && sample.eaddr >= sim::kStackBase) {
-    tm_.class_samples[static_cast<std::size_t>(StorageClass::kStack)].inc();
-    const std::uint64_t owner = (sample.eaddr - sim::kStackBase) >> 20;
-    StringId name;
-    if (auto it = as.stack_names.find(owner); it != as.stack_names.end()) {
-      name = it->second;
-    } else {
-      name = tp.strings.intern(
-          "stack (thread " + std::to_string(static_cast<long>(owner)) + ")");
-      as.stack_names.emplace(owner, name);
-    }
-    if (cfg_.access_patterns) {
-      record_pattern(tp, StorageClass::kStack, name, sample);
-    }
-    Cct& cct = tp.cct(StorageClass::kStack);
-    const Cct::NodeId dummy =
-        cct.child(Cct::kRootId, NodeKind::kVarStatic, name);
-    attribute_context(tp, StorageClass::kStack, as, dummy, ctx.call_stack(),
-                      leaf_ip, m, use_memo);
-    return;
-  }
-
-  tm_.class_samples[static_cast<std::size_t>(StorageClass::kUnknown)].inc();
-  if (cfg_.access_patterns) {
-    record_pattern(tp, StorageClass::kUnknown, 0, sample);
-  }
-  attribute_context(tp, StorageClass::kUnknown, as, Cct::kRootId,
-                    ctx.call_stack(), leaf_ip, m, use_memo);
+void Profiler::ingest_now(const pmu::Sample& sample, rt::ThreadCtx& ctx,
+                          ThreadProfile& tp, ThreadAttrState& as) {
+  const bool replayed = ctx.stack_replay_active();
+  const std::size_t watermark = ctx.take_stack_watermark();
+  const Classified c = classify(sample, tp, as);
+  tm_.class_samples[static_cast<std::size_t>(c.cls)].inc();
+  attribute(sample, c, ctx.call_stack(), watermark, replayed, tp, as);
 }
 
 void Profiler::enable_deferred_ingest() {
@@ -379,12 +364,11 @@ void Profiler::ensure_ingest(std::size_t tid) {
   // ingest or drain path ever resizes them. ThreadProfile /
   // ThreadAttrState objects are still created lazily on the owning
   // thread (profile()/attr_state() find the slots already big enough),
-  // preserving the deterministic backend's "only sampled threads emit
+  // preserving the synchronous path's "only sampled threads emit
   // profiles" behaviour.
   if (ingest_.size() <= tid) ingest_.resize(tid + 1);
   if (profiles_.size() <= tid) profiles_.resize(tid + 1);
   if (attr_.size() <= tid) attr_.resize(tid + 1);
-  if (hand_expected_.size() <= tid) hand_expected_.resize(tid + 1, 0);
   if (!ingest_[tid]) {
     ingest_[tid] = std::make_unique<ThreadIngest>(cfg_.ingest);
   }
@@ -400,126 +384,24 @@ void Profiler::ingest_deferred(const pmu::Sample& sample,
 
   PendingSample rec;
   rec.sample = sample;
-  // A sample taken while the epoch resolver replays a deferred access
-  // carries the issue-time stack snapshot; it must not touch the live
-  // stack's memo (take_stack_watermark reports 0 without re-arming).
+  // The stack state is read now, exactly as ingest_now reads it; only
+  // attribution waits for the drain.
   rec.replayed = ctx.stack_replay_active();
-  // Same per-sample watermark take as the synchronous path — samples are
-  // in thread order either way, so the values match exactly.
   rec.watermark = ctx.take_stack_watermark();
-  // Classify against order-sensitive shared state (heap map, module
-  // registry) while the turn still serializes us. Variable names are
-  // interned here, in sample order, so each thread's string table is
-  // byte-identical to the deterministic backend's. Under the sharded
-  // backend classification runs concurrently across sockets, so the heap
-  // lookup must not mutate the shared MRU cache.
-  if (!sample.is_memory) {
-    rec.cls = StorageClass::kNoMem;
-  } else if (const HeapBlock* block = concurrent_classify_
-                 ? var_map_.find_no_mru(sample.eaddr)
-                 : var_map_.find(sample.eaddr)) {
-    rec.cls = StorageClass::kHeap;
-    rec.heap_path = block->path.get();
-  } else if (auto hit = modules_->resolve_static(sample.eaddr)) {
-    rec.cls = StorageClass::kStatic;
-    if (auto it = as.static_names.find(hit->sym->lo);
-        it != as.static_names.end()) {
-      rec.var_name = it->second;
-    } else {
-      rec.var_name = tp.strings.intern(hit->sym->name);
-      as.static_names.emplace(hit->sym->lo, rec.var_name);
-    }
-  } else if (cfg_.attribute_stack && sample.eaddr >= sim::kStackBase) {
-    rec.cls = StorageClass::kStack;
-    const std::uint64_t owner = (sample.eaddr - sim::kStackBase) >> 20;
-    if (auto it = as.stack_names.find(owner); it != as.stack_names.end()) {
-      rec.var_name = it->second;
-    } else {
-      rec.var_name = tp.strings.intern(
-          "stack (thread " + std::to_string(static_cast<long>(owner)) + ")");
-      as.stack_names.emplace(owner, rec.var_name);
-    }
-  } else {
-    rec.cls = StorageClass::kUnknown;
-  }
-  ++ti.class_counts[static_cast<std::size_t>(rec.cls)];
+  rec.c = classify(sample, tp, as);
+  ++ti.class_counts[static_cast<std::size_t>(rec.c.cls)];
 
   const std::span<const sim::Addr> stack = ctx.call_stack();
   if (ti.pending.size() >= cfg_.ingest.buffer_capacity ||
       ti.stack_arena.size() + stack.size() > ti.arena_limit) {
-    // Buffer full mid-turn: flush in place. Still correct, just not
-    // overlapped with other threads' turns (the normal flush point is
-    // on_slice_retired, after the token has been passed on).
+    // Buffer full mid-chunk: drain in place. Still correct, just not
+    // overlapped (the normal drain point is on_slice_retired).
     drain_thread(tid);
   }
   rec.stack_off = static_cast<std::uint32_t>(ti.stack_arena.size());
   rec.stack_len = static_cast<std::uint32_t>(stack.size());
   ti.stack_arena.insert(ti.stack_arena.end(), stack.begin(), stack.end());
   ti.pending.push_back(rec);
-}
-
-void Profiler::attribute_pending(const PendingSample& rec, ThreadIngest& ti,
-                                 ThreadProfile& tp, ThreadAttrState& as) {
-  if (!rec.replayed) {
-    for (auto& memo : as.memo) {
-      memo.valid = std::min(memo.valid, rec.watermark);
-    }
-  }
-  const MetricVec m = MetricVec::from_sample(rec.sample);
-  const sim::Addr leaf_ip =
-      cfg_.use_precise_ip ? rec.sample.precise_ip : rec.sample.signal_ip;
-  const std::span<const sim::Addr> stack(ti.stack_arena.data() + rec.stack_off,
-                                         rec.stack_len);
-  const bool use_memo = !rec.replayed;
-  // Same per-class pattern updates as the synchronous path, replayed in
-  // sample order by the owning thread's drain — the recorded sequence
-  // (and so the serialized table) is byte-identical across backends.
-  switch (rec.cls) {
-    case StorageClass::kNoMem:
-    case StorageClass::kUnknown:
-      if (cfg_.access_patterns && rec.cls == StorageClass::kUnknown) {
-        record_pattern(tp, StorageClass::kUnknown, 0, rec.sample);
-      }
-      attribute_context(tp, rec.cls, as, Cct::kRootId, stack, leaf_ip, m,
-                        use_memo);
-      break;
-    case StorageClass::kHeap: {
-      if (cfg_.access_patterns) {
-        record_pattern(tp, StorageClass::kHeap, rec.heap_path->pattern_id,
-                       rec.sample);
-      }
-      Cct& cct = tp.cct(StorageClass::kHeap);
-      Cct::NodeId anchor;
-      // The heap-anchor memo keys on the interned path pointer, not the
-      // stack, so replayed samples use (and refresh) it like any other.
-      if (cfg_.memoized_attribution && as.last_heap_path == rec.heap_path) {
-        anchor = as.heap_anchor;
-      } else {
-        Cct::NodeId cur = Cct::kRootId;
-        for (const sim::Addr frame : rec.heap_path->frames) {
-          cur = cct.child(cur, NodeKind::kCallSite, frame);
-        }
-        cur = cct.child(cur, NodeKind::kAllocPoint, rec.heap_path->alloc_ip);
-        anchor = cct.child(cur, NodeKind::kVarData, 0);
-        as.last_heap_path = rec.heap_path;
-        as.heap_anchor = anchor;
-      }
-      attribute_context(tp, StorageClass::kHeap, as, anchor, stack, leaf_ip,
-                        m, use_memo);
-      break;
-    }
-    case StorageClass::kStatic:
-    case StorageClass::kStack: {
-      if (cfg_.access_patterns) {
-        record_pattern(tp, rec.cls, rec.var_name, rec.sample);
-      }
-      Cct& cct = tp.cct(rec.cls);
-      const Cct::NodeId dummy =
-          cct.child(Cct::kRootId, NodeKind::kVarStatic, rec.var_name);
-      attribute_context(tp, rec.cls, as, dummy, stack, leaf_ip, m, use_memo);
-      break;
-    }
-  }
 }
 
 void Profiler::drain_thread(std::size_t tid) {
@@ -535,21 +417,25 @@ void Profiler::drain_thread(std::size_t tid) {
       nodes0 += tp.cct(static_cast<StorageClass>(c)).size();
     }
   }
+  const auto attribute_pending = [&](const PendingSample& rec) {
+    attribute(rec.sample, rec.c,
+              std::span<const sim::Addr>(
+                  ti.stack_arena.data() + rec.stack_off, rec.stack_len),
+              rec.watermark, rec.replayed, tp, as);
+  };
   const std::uint64_t t0 = steady_ns();
   if (metrics) {
-    // Per-sample latency, as handle_sample records it on det: one clock
-    // read per sample, chained.
+    // Per-sample latency, as handle_sample records it synchronously: one
+    // clock read per sample, chained.
     std::uint64_t prev = t0;
     for (const PendingSample& rec : ti.pending) {
-      attribute_pending(rec, ti, tp, as);
+      attribute_pending(rec);
       const std::uint64_t now = steady_ns();
       tm_.sample_ns_hist.record(now - prev);
       prev = now;
     }
   } else {
-    for (const PendingSample& rec : ti.pending) {
-      attribute_pending(rec, ti, tp, as);
-    }
+    for (const PendingSample& rec : ti.pending) attribute_pending(rec);
   }
   const std::uint64_t dt = steady_ns() - t0;
   if (metrics) {
@@ -564,25 +450,10 @@ void Profiler::drain_thread(std::size_t tid) {
       tm_.cct_bytes.add((nodes1 - nodes0) * sizeof(Cct::Node));
     }
   }
-  FlushSummary s;
-  s.first_seq = ti.flushed;
-  s.count = static_cast<std::uint32_t>(ti.pending.size());
-  s.attr_ns = dt;
-  ti.flushed += s.count;
+  ti.attributed += ti.pending.size();
+  ti.attr_ns += dt;
   ti.pending.clear();
   ti.stack_arena.clear();
-  if (ti.has_carry) {
-    // The previous flush found the ring full. Drains are in order, so
-    // the two sequence ranges are contiguous: coalesce and retry.
-    ti.carry.count += s.count;
-    ti.carry.attr_ns += s.attr_ns;
-    s = ti.carry;
-    ti.has_carry = false;
-  }
-  if (!ti.ring.push(s)) {
-    ti.carry = s;
-    ti.has_carry = true;
-  }
 }
 
 void Profiler::on_slice_retired(rt::ThreadCtx& ctx) {
@@ -597,41 +468,11 @@ void Profiler::drain_ingest() {
   for (std::size_t tid = 0; tid < ingest_.size(); ++tid) {
     if (ingest_[tid]) drain_thread(tid);
   }
-  poll_handoff();
-  // Summaries the rings could not take are consumed directly — we are at
-  // a quiescent point, so producer-side state is safe to touch (and the
-  // ring contents, all older, were just consumed above).
-  for (std::size_t tid = 0; tid < ingest_.size(); ++tid) {
-    if (ingest_[tid] && ingest_[tid]->has_carry) {
-      consume_summary(tid, ingest_[tid]->carry);
-      ingest_[tid]->has_carry = false;
-    }
-  }
   fold_tallies();
 }
 
-void Profiler::poll_handoff() {
-  FlushSummary s;
-  for (std::size_t tid = 0; tid < ingest_.size(); ++tid) {
-    if (!ingest_[tid]) continue;
-    while (ingest_[tid]->ring.pop(s)) consume_summary(tid, s);
-  }
-}
-
-void Profiler::consume_summary(std::size_t tid, const FlushSummary& s) {
-  if (hand_expected_.size() <= tid) hand_expected_.resize(tid + 1, 0);
-  if (s.first_seq != hand_expected_[tid]) ++handoff_gaps_;
-  hand_expected_[tid] = s.first_seq + s.count;
-  ++handoff_flushes_;
-  handoff_samples_ += s.count;
-  if (cfg_.throttle.budget_ns != 0 && pmu_ != nullptr) {
-    throttle_window_ns_ += s.attr_ns;
-    throttle_window_n_ += s.count;
-    if (throttle_window_n_ >= cfg_.throttle.window) maybe_throttle();
-  }
-}
-
 void Profiler::fold_tallies() {
+  const bool throttling = cfg_.throttle.budget_ns != 0 && pmu_ != nullptr;
   for (auto& ip : ingest_) {
     if (!ip) continue;
     if (ip->handled != 0) {
@@ -644,6 +485,13 @@ void Profiler::fold_tallies() {
         ip->class_counts[c] = 0;
       }
     }
+    if (throttling && ip->attributed != 0) {
+      throttle_window_ns_ += ip->attr_ns;
+      throttle_window_n_ += ip->attributed;
+      if (throttle_window_n_ >= cfg_.throttle.window) maybe_throttle();
+    }
+    ip->attributed = 0;
+    ip->attr_ns = 0;
   }
   for (auto& ap : attr_) {
     if (!ap) continue;
@@ -677,13 +525,8 @@ std::vector<ThreadProfile> Profiler::take_profiles() {
   }
   profiles_.clear();
   // Every cached NodeId and StringId referred to the profiles just moved
-  // out; a new measurement phase starts cold. Sequence numbers restart
-  // with it (handoff_stats totals stay cumulative).
+  // out; a new measurement phase starts cold.
   attr_.clear();
-  for (auto& ip : ingest_) {
-    if (ip) ip = std::make_unique<ThreadIngest>(cfg_.ingest);
-  }
-  std::fill(hand_expected_.begin(), hand_expected_.end(), 0);
   return out;
 }
 

@@ -11,8 +11,8 @@
 //    sample counts) are per-core cells instead: one handle per core,
 //    bumped with `Counter::add_owned` — a relaxed load+add+store with no
 //    lock prefix. Its contract is one writer at a time per cell, with a
-//    happens-before edge between successive writers (rt's turn token or
-//    epoch barrier); snapshots sum across cells. The profiler's deferred
+//    happens-before edge between successive writers (rt's epoch barrier
+//    or a construct's dispatch/join); snapshots sum across cells. The profiler's deferred
 //    ingest goes further and tallies per-thread in plain memory, folding
 //    into its cells at quiescent points.
 //  * Gauge handles may be shared across threads: `add`/`set` use real

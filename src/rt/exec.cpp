@@ -17,7 +17,6 @@ namespace dcprof::rt {
 const char* to_string(BackendKind kind) {
   switch (kind) {
     case BackendKind::kDeterministic: return "det";
-    case BackendKind::kThreaded: return "threads";
     case BackendKind::kSharded: return "sockets";
   }
   return "?";
@@ -27,7 +26,6 @@ std::optional<BackendKind> parse_backend(std::string_view name) {
   if (name == "det" || name == "deterministic") {
     return BackendKind::kDeterministic;
   }
-  if (name == "threads" || name == "threaded") return BackendKind::kThreaded;
   if (name == "sockets" || name == "sharded") return BackendKind::kSharded;
   return std::nullopt;
 }
@@ -36,7 +34,7 @@ namespace {
 
 /// Static block partition of [begin, end) over nt threads: thread t owns
 /// [begin + t*per, min(begin + (t+1)*per, end)). Shared by both backends
-/// so they cannot drift apart.
+/// so they hand every thread the same iterations.
 struct Partition {
   std::int64_t per = 0;
   std::int64_t begin = 0;
@@ -51,9 +49,9 @@ struct Partition {
   }
 };
 
-/// The original single-host-thread policy: one chunk per thread per
-/// round, threads in tid order. This order *is* the contract the
-/// threaded backend reproduces.
+/// The single-host-thread policy: one chunk per thread per round, threads
+/// in tid order. Samples are attributed synchronously inside the access
+/// that raised them, so this backend never calls the ExecObserver.
 class DeterministicBackend final : public ExecBackend {
  public:
   bool concurrent() const override { return false; }
@@ -96,196 +94,6 @@ class DeterministicBackend final : public ExecBackend {
     for (int t = 0; t < team.size(); ++t) body(team.thread(t));
     team.barrier();
   }
-};
-
-/// Real std::threads, turn-token serialized into the deterministic
-/// backend's exact global chunk order. Workers persist across constructs
-/// (parked on a condition variable between dispatches).
-class ThreadedBackend final : public ExecBackend {
- public:
-  ~ThreadedBackend() override {
-    {
-      std::lock_guard lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
-
-  bool concurrent() const override { return true; }
-
-  void run_for(Team& team, std::int64_t begin, std::int64_t end,
-               std::int64_t chunk, ForBodyRef body) override {
-    team.barrier();
-    const std::int64_t len = end - begin;
-    if (len <= 0) return;
-    Task t;
-    t.is_for = true;
-    t.begin = begin;
-    t.end = end;
-    t.chunk = chunk > 0 ? chunk : 1;
-    const auto nt = static_cast<std::int64_t>(team.size());
-    t.per = (len + nt - 1) / nt;
-    t.rounds = static_cast<std::uint64_t>((t.per + t.chunk - 1) / t.chunk);
-    t.for_body = body;
-    dispatch(team, t);
-    team.barrier();
-  }
-
-  void run_region(Team& team, RegionBodyRef body) override {
-    team.barrier();
-    Task t;
-    t.is_for = false;
-    t.rounds = 1;
-    t.region_body = body;
-    dispatch(team, t);
-    team.barrier();
-  }
-
- private:
-  struct Task {
-    bool is_for = false;
-    std::int64_t begin = 0;
-    std::int64_t end = 0;
-    std::int64_t per = 0;
-    std::int64_t chunk = 0;
-    std::uint64_t rounds = 0;
-    ForBodyRef for_body{};
-    RegionBodyRef region_body{};
-  };
-
-  void start(Team& team) {
-    if (!workers_.empty()) return;
-    team_ = &team;
-    const int nt = team.size();
-    workers_.reserve(static_cast<std::size_t>(nt));
-    for (int w = 0; w < nt; ++w) {
-      workers_.emplace_back([this, w] { worker_loop(w); });
-    }
-  }
-
-  /// Publishes one task to all workers, waits for completion, then fires
-  /// the quiescent hook (workers are parked again: the controlling thread
-  /// may touch any per-thread state). The mutex handoff on both edges is
-  /// what makes the master's pre-dispatch writes (clock sync, TeamScope
-  /// frames) visible to workers and their results visible back.
-  void dispatch(Team& team, const Task& t) {
-    start(team);
-    turn_.store(0, std::memory_order_relaxed);
-    aborted_.store(false, std::memory_order_relaxed);
-    {
-      std::lock_guard lock(mu_);
-      task_ = t;
-      active_ = static_cast<int>(workers_.size());
-      ++gen_;
-    }
-    cv_.notify_all();
-    std::exception_ptr err;
-    {
-      std::unique_lock lock(mu_);
-      done_cv_.wait(lock, [&] { return active_ == 0; });
-      err = std::exchange(error_, nullptr);
-    }
-    if (err) std::rethrow_exception(err);
-    if (ExecObserver* obs = team.exec_observer()) obs->on_quiescent(team);
-  }
-
-  void worker_loop(int w) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      Task t;
-      {
-        std::unique_lock lock(mu_);
-        cv_.wait(lock, [&] { return stop_ || gen_ != seen; });
-        if (stop_) return;
-        seen = gen_;
-        t = task_;
-      }
-      if (t.is_for) {
-        run_for_worker(w, t);
-      } else {
-        run_region_worker(w, t);
-      }
-      {
-        std::lock_guard lock(mu_);
-        if (--active_ == 0) done_cv_.notify_all();
-      }
-    }
-  }
-
-  /// Blocks until the global turn counter reaches `slot`. Turn passing is
-  /// the release/acquire chain that orders every machine access.
-  void await_turn(std::uint64_t slot) {
-    while (turn_.load(std::memory_order_acquire) != slot) {
-      std::this_thread::yield();
-    }
-  }
-
-  void record_error() {
-    std::lock_guard lock(mu_);
-    if (!error_) error_ = std::current_exception();
-    aborted_.store(true, std::memory_order_relaxed);
-  }
-
-  void run_for_worker(int w, const Task& t) {
-    ThreadCtx& ctx = team_->thread(w);
-    ExecObserver* const obs = team_->exec_observer();
-    const auto nt = static_cast<std::uint64_t>(team_->size());
-    const Partition part(t.begin, t.end, static_cast<std::int64_t>(nt));
-    std::int64_t next = part.lo(w);
-    const std::int64_t hi = part.hi(w);
-    for (std::uint64_t r = 0; r < t.rounds; ++r) {
-      const std::uint64_t slot = r * nt + static_cast<std::uint64_t>(w);
-      await_turn(slot);
-      if (next < hi && !aborted_.load(std::memory_order_relaxed)) {
-        try {
-          const std::int64_t stop =
-              next + t.chunk < hi ? next + t.chunk : hi;
-          for (std::int64_t i = next; i < stop; ++i) t.for_body(ctx, i);
-          next = stop;
-        } catch (...) {
-          record_error();
-        }
-      }
-      turn_.store(slot + 1, std::memory_order_release);
-      // Outside the turn: attribute this thread's buffered samples while
-      // the next worker simulates. This overlap is the multicore win.
-      if (obs != nullptr && !aborted_.load(std::memory_order_relaxed)) {
-        obs->on_slice_retired(ctx);
-      }
-    }
-  }
-
-  void run_region_worker(int w, const Task& t) {
-    ThreadCtx& ctx = team_->thread(w);
-    ExecObserver* const obs = team_->exec_observer();
-    await_turn(static_cast<std::uint64_t>(w));
-    if (!aborted_.load(std::memory_order_relaxed)) {
-      try {
-        t.region_body(ctx);
-      } catch (...) {
-        record_error();
-      }
-    }
-    turn_.store(static_cast<std::uint64_t>(w) + 1,
-                std::memory_order_release);
-    if (obs != nullptr && !aborted_.load(std::memory_order_relaxed)) {
-      obs->on_slice_retired(ctx);
-    }
-  }
-
-  Team* team_ = nullptr;
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_;       ///< task published / stop
-  std::condition_variable done_cv_;  ///< all workers finished a task
-  std::uint64_t gen_ = 0;            ///< task generation (guarded by mu_)
-  int active_ = 0;                   ///< workers still on the task
-  bool stop_ = false;
-  Task task_;
-  std::exception_ptr error_;  ///< first body exception (guarded by mu_)
-  std::atomic<std::uint64_t> turn_{0};
-  std::atomic<bool> aborted_{false};
 };
 
 /// Epoch-sharded backend: one persistent host worker per simulated
@@ -514,8 +322,8 @@ class ShardedBackend final : public ExecBackend, public sim::DeferSink {
   /// Runs rounds [r0, r1) of group `g`: one chunk per group thread per
   /// round, threads in ascending tid order — the deterministic schedule
   /// restricted to this socket. After each chunk the worker drains that
-  /// thread's sample buffer (the same overlap win as ThreadedBackend,
-  /// but here the *simulation* overlaps across sockets too).
+  /// thread's sample buffer on its own host thread, so CCT attribution
+  /// overlaps across sockets along with the simulation.
   void run_group_rounds(std::size_t g, const Task& t, std::uint64_t r0,
                         std::uint64_t r1) {
     ExecObserver* const obs = team_->exec_observer();
@@ -680,9 +488,6 @@ class ShardedBackend final : public ExecBackend, public sim::DeferSink {
 }  // namespace
 
 std::unique_ptr<ExecBackend> make_backend(const ExecConfig& cfg) {
-  if (cfg.backend == BackendKind::kThreaded) {
-    return std::make_unique<ThreadedBackend>();
-  }
   if (cfg.backend == BackendKind::kSharded) {
     return std::make_unique<ShardedBackend>(cfg);
   }

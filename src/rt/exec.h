@@ -1,34 +1,26 @@
 // Execution backends: how a Team's parallel constructs actually run.
 //
-// The scheduling *policy* — deterministic round-robin on the calling host
-// thread vs. real std::threads — is chosen via ExecConfig instead of
-// being baked into Team::parallel_for. Both backends execute the exact
-// same per-thread chunks in the exact same global order, so the simulated
-// machine (shared L3 content, DRAM queue backlogs, first-touch page
-// homes) evolves identically and profiles are canonically equal between
-// them: the deterministic backend is the threaded backend's verification
-// twin.
+// The scheduling *policy* is chosen via ExecConfig instead of being baked
+// into Team::parallel_for. Two backends exist:
 //
-// ThreadedBackend keeps that global order on real threads with a turn
-// token: an atomic slot counter hands machine access to one worker at a
-// time in round-robin chunk order (release store when passing, acquire
-// load when taking, so all simulation state is chained happens-before and
-// needs no locks). The *win* is what happens outside a worker's turn:
-// after passing the token it drains its own pending-sample buffer —
-// expensive CCT attribution overlaps across workers while another thread
-// simulates (see ExecObserver and core::Profiler's deferred ingest).
+// DeterministicBackend runs every team thread round-robin on the calling
+// host thread: one chunk per thread per round, threads in tid order. The
+// simulated machine (shared L3 content, DRAM queue backlogs, first-touch
+// page homes) evolves in that one global order, and the profiler
+// attributes each sample synchronously, inside the access that raised it.
 //
-// ShardedBackend goes further and overlaps the *simulation* itself: one
-// host worker per simulated socket runs that socket's threads against
-// socket-private machine state (L1/L2/TLB/prefetcher, the socket's L3,
-// its locally-homed DRAM controllers), with no token at all. Accesses
-// that would touch cross-socket shared state — pages homed on another
-// socket, or not yet homed (first touch) — are deferred into per-thread
-// queues and replayed at deterministic epoch barriers in canonical
-// (socket, thread, issue) order, every `epoch_rounds` chunk rounds. Its
-// verification twin is the same backend with `sharded_serial = true`:
-// the identical epoch schedule run on one host thread, byte-identical
-// profiles by construction.
+// ShardedBackend overlaps the *simulation* itself: one host worker per
+// simulated socket runs that socket's threads against socket-private
+// machine state (L1/L2/TLB/prefetcher, the socket's L3, its locally-homed
+// DRAM controllers). Accesses that would touch cross-socket shared state
+// — pages homed on another socket, or not yet homed (first touch) — are
+// deferred into per-thread queues and replayed at deterministic epoch
+// barriers in canonical (socket, thread, issue) order, every
+// `epoch_rounds` chunk rounds. Samples are buffered per thread and
+// attributed on the owning worker after each chunk (see ExecObserver and
+// core::Profiler's deferred ingest). Its verification twin is the same
+// backend with `sharded_serial = true`: the identical epoch schedule run
+// on one host thread, byte-identical profiles by construction.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +36,12 @@ class ThreadCtx;
 
 enum class BackendKind : std::uint8_t {
   kDeterministic,  ///< round-robin virtual threads on the calling thread
-  kThreaded,       ///< one std::thread per team thread, turn-serialized
   kSharded,        ///< one std::thread per socket, epoch-barrier resolved
 };
 
 const char* to_string(BackendKind kind);
-/// Parses "det" / "threads" / "sockets"; nullopt on anything else.
+/// Parses "det" / "sockets" (or their long forms "deterministic" /
+/// "sharded"); nullopt on anything else.
 std::optional<BackendKind> parse_backend(std::string_view name);
 
 /// How a Team executes its parallel constructs.
@@ -81,19 +73,20 @@ struct RegionBodyRef {
 };
 
 /// Hooks a sample consumer (the profiler) implements to learn about safe
-/// drain points in a *concurrent* backend. Never invoked by the
-/// deterministic backend (samples are attributed synchronously there).
+/// drain points in the *concurrent* (sharded) backend. Never invoked by
+/// the deterministic backend (samples are attributed synchronously there).
 class ExecObserver {
  public:
   virtual ~ExecObserver() = default;
-  /// Called on the worker's own host thread right after it passed the
-  /// turn token: the thread is outside the serialized section, so
-  /// draining ITS OWN per-thread sample buffer overlaps with the next
-  /// worker's simulation.
+  /// Called on the socket worker driving `ctx` right after one of its
+  /// chunks (or its region body) ran: draining ITS OWN per-thread sample
+  /// buffer here overlaps with the other sockets' simulation, and
+  /// samples that the previous epoch barrier replayed for this thread
+  /// attribute on their owner's worker too.
   virtual void on_slice_retired(ThreadCtx& ctx) = 0;
   /// Called on the controlling thread once all workers are parked (end
-  /// of a parallel construct, or a single/barrier epoch boundary): flush
-  /// every remaining buffer and consume the handoff rings.
+  /// of a parallel construct): flush every remaining buffer and fold the
+  /// per-thread tallies.
   virtual void on_quiescent(Team& team) = 0;
 };
 

@@ -2,11 +2,9 @@
 // through a pluggable ExecBackend (rt/exec.h): the default deterministic
 // backend interleaves one chunk per thread per round on the calling host
 // thread — which is what lets the simulation reproduce shared-L3 and
-// DRAM-controller contention between worker threads — while the threaded
-// backend runs each team thread on a real std::thread, turn-serialized
-// into the identical global chunk order (so both backends produce
-// identical simulation results; the deterministic one is the threaded
-// one's verification twin).
+// DRAM-controller contention between worker threads — while the sharded
+// backend runs each simulated socket's threads on its own std::thread and
+// resolves cross-socket accesses at deterministic epoch barriers.
 #pragma once
 
 #include <cstdint>

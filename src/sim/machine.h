@@ -2,17 +2,16 @@
 // publishes every executed instruction / memory access to an observer
 // (the PMU attaches here).
 //
-// Concurrency contract (the threaded rt backend): core-private state —
-// L1/L2/TLB/prefetcher and the per-core instruction/access shards below —
-// is safe for concurrent callers on *distinct* cores. Shared structures
-// (per-socket L3 content, DRAM controller queues, the first-touch page
-// table) are deliberately left unsynchronized: their *results* depend on
-// access order, so callers must serialize accesses into a deterministic
-// global order anyway (rt's turn token does this, with release/acquire
-// hand-off providing the happens-before chain). Telemetry written per
-// access is per-core (level counts, PMU cells) or per-controller (DRAM
-// queue totals) and single-writer under that same serialization, so it
-// is bumped without atomic RMWs and stays exact across the hand-off.
+// Concurrency contract: core-private state — L1/L2/TLB/prefetcher and the
+// per-core instruction/access shards below — is safe for concurrent
+// callers on *distinct* cores. Shared structures (per-socket L3 content,
+// DRAM controller queues, the first-touch page table) are deliberately
+// left unsynchronized: their *results* depend on access order, so callers
+// must serialize accesses to them into a deterministic global order
+// anyway. Telemetry written per access is per-core (level counts, PMU
+// cells) or per-controller (DRAM queue totals) and single-writer under
+// that serialization, so it is bumped without atomic RMWs and stays exact
+// across the hand-off between host threads.
 //
 // Epoch-sharded contract (rt's sharded backend): while a DeferSink is
 // installed, sockets run concurrently against socket-private state and
@@ -172,9 +171,7 @@ class Machine {
   /// construct the cells are individually torn-free (relaxed atomics, so
   /// never UB) but the total is a racy snapshot that can mix per-core
   /// values from different instants. The debug assertion below catches
-  /// the sharded-backend misuse (reads while an epoch construct is in
-  /// flight); the turn-token backend has no equivalent flag, so the
-  /// contract is documentation there.
+  /// the misuse (reads while an epoch construct is in flight).
   std::uint64_t instructions_retired() const;
   std::uint64_t memory_accesses() const;
 

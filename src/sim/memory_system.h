@@ -42,8 +42,8 @@ class alignas(64) DramController {
   /// Serves one access issued at thread-local time `now`; returns the
   /// queueing delay it observes. Queue state (backlog/last) is shared
   /// across the node's cores and order-dependent, so callers serialize
-  /// accesses (rt's turn token, or the epoch barrier for another
-  /// socket's controller); that contract also makes the controller's
+  /// accesses (the calling host thread on the deterministic backend, or
+  /// the epoch barrier for another socket's controller); that contract also makes the controller's
   /// totals single-writer, so they take a plain load+add+store. They are
   /// relaxed atomics only so readers on other threads get torn-free
   /// values (exact at quiescent points).

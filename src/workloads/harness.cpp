@@ -62,15 +62,11 @@ void ProcessCtx::enable_profiling(std::vector<pmu::PmuConfig> pmu_cfgs,
     profiler_->attach_pmu(*pmu_);
     profiler_->attach_allocator(*alloc_);
     if (team_->concurrent()) {
-      // Real threads: classify inside the turn, attribute on the owning
-      // thread after passing the token (see Profiler's class comment).
+      // Socket workers: classify when a sample is raised, attribute on
+      // the owning thread's worker after each chunk (see Profiler's class
+      // comment).
       profiler_->enable_deferred_ingest();
       team_->set_exec_observer(&*profiler_);
-      if (team_->exec_config().backend == rt::BackendKind::kSharded) {
-        // Epoch-sharded: classification overlaps across sockets with no
-        // turn at all, so heap lookups must skip the shared MRU cache.
-        profiler_->enable_concurrent_classification();
-      }
     }
     profiler_->register_team(*team_);
   }

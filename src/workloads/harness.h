@@ -39,9 +39,9 @@ sim::MachineConfig rank_config();
 class ProcessCtx {
  public:
   /// Standalone process. `exec` picks the execution backend for the
-  /// owned team (deterministic round-robin by default; `kThreaded` runs
-  /// workload threads on real cores and flips the profiler into
-  /// deferred-ingest mode when profiling is enabled).
+  /// owned team (deterministic round-robin by default; `kSharded` runs
+  /// each simulated socket's threads on its own host thread and flips
+  /// the profiler into deferred-ingest mode when profiling is enabled).
   ProcessCtx(const sim::MachineConfig& cfg, int threads,
              const std::string& exe_name, rt::ExecConfig exec = {});
   explicit ProcessCtx(rt::Rank& rank, const std::string& exe_name);

@@ -27,7 +27,10 @@
 #include "core/measurement.h"
 #include "core/profile.h"
 #include "core/profiler.h"
+#include "rt/exec.h"
+#include "rt/sim_array.h"
 #include "rt/team.h"
+#include "workloads/harness.h"
 
 namespace dcprof::analysis {
 namespace {
@@ -743,6 +746,53 @@ TEST(CrashSafety, OverloadThrottlingRaisesPeriodAndIsRecordedEndToEnd) {
   EXPECT_NE(r.throttled[0].find("period 8 -> " +
                                 std::to_string(tp.effective_period)),
             std::string::npos);
+}
+
+// The same degradation on the sharded backend, whose samples are
+// attributed by per-thread buffer drains: each thread's drained sample
+// count and drain time reach the throttle window at the next quiescent
+// point, and the raised period is stamped into every profile.
+TEST(CrashSafety, OverloadThrottlingOnSocketsBackendRaisesPeriod) {
+  core::ProfilerConfig cfg;
+  cfg.throttle.budget_ns = 1;  // any real handler exceeds 1 ns/sample
+  cfg.throttle.window = 8;
+  cfg.throttle.max_scale = 4;
+  rt::ExecConfig exec;
+  exec.backend = rt::BackendKind::kSharded;
+  wl::ProcessCtx proc(wl::node_config(), 8, "throttle-kernel", exec);
+  binfmt::LoadModule& exe = proc.exe();
+  const sim::Addr ip = exe.add_instr(exe.add_function("main", "app.c"), 1);
+  proc.enable_profiling(wl::ibs_config(64), cfg);
+  constexpr std::int64_t kN = 20'000;
+  rt::SimArray<double> a;
+  proc.team().single([&](rt::ThreadCtx& t) {
+    a = rt::SimArray<double>::calloc_in(proc.alloc(), t, kN, ip);
+  });
+  for (int rep = 0; rep < 3; ++rep) {
+    proc.team().parallel_for(0, kN, [&](rt::ThreadCtx& t, std::int64_t i) {
+      a.get(t, static_cast<std::uint64_t>(i), ip);
+    });
+  }
+  const std::vector<ThreadProfile> profiles = proc.take_profiles();
+  const core::ProfilerStats stats = proc.profiler()->stats();
+
+  EXPECT_GE(stats.throttle_events, 1u);
+  EXPECT_GE(stats.period_scale, 2u);
+  EXPECT_LE(stats.period_scale, 4u);
+  EXPECT_EQ(proc.pmu()->period_scale(), stats.period_scale);
+  ASSERT_FALSE(profiles.empty());
+  for (const ThreadProfile& tp : profiles) {
+    EXPECT_EQ(tp.sampling_period, 64u);
+    EXPECT_EQ(tp.effective_period, 64u * stats.period_scale);
+    struct FramingGrabber final : ProfileVisitor {
+      ProfileFraming f;
+      void on_framing(const ProfileFraming& fr) override { f = fr; }
+    } grab;
+    std::istringstream in(serialized(tp));
+    ThreadProfile::scan(in, grab);
+    EXPECT_EQ(grab.f.flags & core::kProfileFlagThrottled,
+              core::kProfileFlagThrottled);
+  }
 }
 
 }  // namespace

@@ -1,16 +1,13 @@
-// True-multicore measurement: the threaded ExecBackend must be an exact
-// stand-in for the deterministic round-robin twin. Covers
-//  * the SPSC handoff ring (exactly-once, in-order, under contention);
-//  * the profiler's deferred-ingest handoff (sequence continuity while a
-//    consumer polls concurrently with producing threads — the TSan
-//    stress target);
-//  * Team-level backend equivalence on raw execution state;
-//  * end-to-end backend equivalence on the case-study workloads:
-//    per-thread profiles byte-identical, merged profiles canonically
-//    equal (the ISSUE gate), checksums identical;
-//  * the ring-full / tiny-buffer fallback paths;
+// Multicore measurement and the deferred-ingest path. Covers
+//  * backend parsing and the deterministic backend's documented schedule;
+//  * deferred vs synchronous ingest on the deterministic backend: per-
+//    thread profiles byte-identical, merged profiles canonically equal,
+//    checksums identical, every PMU sample handled;
+//  * the epoch-sharded backend against its serial twin, on raw execution
+//    state and end to end on the case-study workloads;
 //  * exact per-access telemetry: the per-core counter cells sum to the
-//    same registry totals on a concurrent backend as on its twin.
+//    same registry totals on the sharded backend as on its twin;
+//  * the PMU sample gate against per-event delivery on every backend.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +16,6 @@
 #include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -29,7 +25,6 @@
 #include "pmu/pmu.h"
 #include "rt/exec.h"
 #include "rt/sim_array.h"
-#include "rt/spsc.h"
 #include "rt/team.h"
 #include "verify/invariants.h"
 #include "workloads/amg.h"
@@ -45,180 +40,60 @@ using wl::ProcessCtx;
 
 constexpr int kThreads = 8;
 
-// ---------------------------------------------------------------- SPSC --
-
-TEST(SpscRing, ExactlyOnceInOrderUnderContention) {
-  rt::SpscRing<std::uint64_t> ring(64);
-  constexpr std::uint64_t kN = 200'000;
-  std::uint64_t received = 0, sum = 0;
-  bool ordered = true;
-  std::thread consumer([&] {
-    std::uint64_t expect = 0, v = 0;
-    while (expect < kN) {
-      if (ring.pop(v)) {
-        if (v != expect) ordered = false;
-        ++expect;
-        ++received;
-        sum += v;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (std::uint64_t i = 0; i < kN; ++i) {
-    while (!ring.push(i)) std::this_thread::yield();
-  }
-  consumer.join();
-  EXPECT_TRUE(ordered);
-  EXPECT_EQ(received, kN);
-  EXPECT_EQ(sum, kN * (kN - 1) / 2);
-}
-
-TEST(SpscRing, RejectsWhenFullRoundsCapacity) {
-  rt::SpscRing<int> ring(3);  // rounds up to 4
-  int out = 0;
-  EXPECT_FALSE(ring.pop(out));
-  int pushed = 0;
-  while (ring.push(pushed)) ++pushed;
-  EXPECT_EQ(pushed, 4);
-  EXPECT_TRUE(ring.pop(out));
-  EXPECT_EQ(out, 0);
-  EXPECT_TRUE(ring.push(99));  // slot freed
-}
-
-// Degenerate capacity request: rounds up to the 2-slot minimum and still
-// behaves (capacities are power-of-two by construction, asserted in the
-// ctor, so index masking stays correct).
-TEST(SpscRing, CapacityOneRoundsToMinimumAndWraps) {
-  rt::SpscRing<int> ring(1);
-  EXPECT_EQ(ring.capacity(), 2u);
-  EXPECT_TRUE(ring.push(10));
-  EXPECT_TRUE(ring.push(11));
-  EXPECT_FALSE(ring.push(12));  // full at 2
-  int out = 0;
-  EXPECT_TRUE(ring.pop(out));
-  EXPECT_EQ(out, 10);
-  EXPECT_TRUE(ring.push(12));  // wraps around the 2-slot array
-  EXPECT_TRUE(ring.pop(out));
-  EXPECT_EQ(out, 11);
-  EXPECT_TRUE(ring.pop(out));
-  EXPECT_EQ(out, 12);
-  EXPECT_FALSE(ring.pop(out));
-}
-
-// Fill/drain across many laps: the cursors keep incrementing past the
-// array size, so this exercises wraparound of the masked indices (and,
-// were capacity ever not a power of two, would corrupt order).
-TEST(SpscRing, FullRingWraparoundKeepsOrderAcrossLaps) {
-  rt::SpscRing<std::uint64_t> ring(8);
-  std::uint64_t next_push = 0, next_pop = 0;
-  for (int lap = 0; lap < 100; ++lap) {
-    while (ring.push(next_push)) ++next_push;
-    EXPECT_EQ(next_push - next_pop, ring.capacity());  // exactly full
-    std::uint64_t v = 0;
-    while (ring.pop(v)) {
-      EXPECT_EQ(v, next_pop);
-      ++next_pop;
-    }
-    EXPECT_EQ(next_pop, next_push);  // exactly empty
-  }
-  EXPECT_EQ(next_pop, 100 * ring.capacity());
-}
-
-// ------------------------------------------------- handoff stress (TSan) --
-
-// Producers at max rate on real threads, a consumer polling the rings
-// concurrently: every sample must arrive exactly once, proven by the
-// per-thread sequence numbers (gaps == 0) and by the totals. Non-memory
-// samples keep classification off shared structures, so direct
-// handle_sample calls from worker threads are within the deferred-mode
-// contract (attribution state is all per-thread).
-TEST(DeferredIngest, HandoffLosesNothingUnderConcurrentPolling) {
-  sim::Machine machine(node_config());
-  rt::Team team(machine, kThreads);
-  binfmt::ModuleRegistry modules;
-  core::ProfilerConfig cfg;
-  cfg.ingest.buffer_capacity = 8;  // force many flushes
-  cfg.ingest.ring_capacity = 4;    // ...and ring pressure
-  core::Profiler prof(modules, cfg);
-  prof.enable_deferred_ingest();
-  prof.register_team(team);
-
-  constexpr std::uint64_t kPerThread = 50'000;
-  std::atomic<bool> done{false};
-  std::vector<std::thread> producers;
-  for (int t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&, t] {
-      rt::ThreadCtx& ctx = team.thread(t);
-      ctx.push_frame(0x1000 + static_cast<sim::Addr>(t));
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        pmu::Sample s;
-        s.tid = ctx.tid();
-        s.is_memory = false;
-        s.precise_ip = 0x2000 + (i % 7);
-        s.signal_ip = s.precise_ip;
-        prof.handle_sample(s);
-        if (i % 1024 == 0) prof.on_slice_retired(ctx);
-      }
-      prof.on_slice_retired(ctx);
-    });
-  }
-  std::thread consumer([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      prof.poll_handoff();
-      std::this_thread::yield();
-    }
-  });
-  for (auto& p : producers) p.join();
-  done.store(true, std::memory_order_release);
-  consumer.join();
-  prof.drain_ingest();  // final sweep: rings + carries + tallies
-
-  const auto hs = prof.handoff_stats();
-  EXPECT_EQ(hs.gaps, 0u);
-  EXPECT_EQ(hs.samples, kPerThread * kThreads);
-  EXPECT_GT(hs.flushes, 0u);
-  const auto stats = prof.stats();
-  EXPECT_EQ(stats.samples_handled, kPerThread * kThreads);
-  EXPECT_EQ(stats.nomem_samples, kPerThread * kThreads);
-  EXPECT_EQ(stats.samples_dropped, 0u);
-}
-
 // ------------------------------------------------ Team-level equivalence --
 
 TEST(ExecBackend, ParseAndNames) {
   EXPECT_EQ(rt::parse_backend("det"), rt::BackendKind::kDeterministic);
   EXPECT_EQ(rt::parse_backend("deterministic"),
             rt::BackendKind::kDeterministic);
-  EXPECT_EQ(rt::parse_backend("threads"), rt::BackendKind::kThreaded);
-  EXPECT_EQ(rt::parse_backend("threaded"), rt::BackendKind::kThreaded);
   EXPECT_EQ(rt::parse_backend("sockets"), rt::BackendKind::kSharded);
   EXPECT_EQ(rt::parse_backend("sharded"), rt::BackendKind::kSharded);
+  EXPECT_FALSE(rt::parse_backend("threads").has_value());
+  EXPECT_FALSE(rt::parse_backend("threaded").has_value());
   EXPECT_FALSE(rt::parse_backend("gpu").has_value());
-  EXPECT_STREQ(rt::to_string(rt::BackendKind::kThreaded), "threads");
+  EXPECT_STREQ(rt::to_string(rt::BackendKind::kDeterministic), "det");
   EXPECT_STREQ(rt::to_string(rt::BackendKind::kSharded), "sockets");
 }
 
-// Same accesses, same global order => same thread clocks, same machine
-// counters, regardless of backend.
+// The deterministic backend runs exactly its documented schedule: a block
+// partition, one chunk per thread per round, threads in tid order, a
+// barrier on both sides of each construct. The same accesses issued by
+// hand in that order must leave the same thread clocks and machine
+// counters.
 TEST(ExecBackend, TeamStateMatchesDeterministicTwin) {
-  const auto run = [](rt::BackendKind kind) {
+  constexpr std::int64_t kN = 1 << 14;
+  constexpr std::int64_t kChunk = 64;
+  static_assert(kN % (kThreads * kChunk) == 0);
+  const auto run = [](bool by_hand) {
     sim::Machine machine(node_config());
-    rt::ExecConfig exec;
-    exec.backend = kind;
-    rt::Team team(machine, kThreads, exec);
+    rt::Team team(machine, kThreads);
     rt::Allocator alloc(machine);
     rt::SimArray<double> a = rt::SimArray<double>::malloc_in(
-        alloc, team.master(), 1 << 14, 0x42);
+        alloc, team.master(), kN, 0x42);
+    const auto body = [&](rt::ThreadCtx& t, std::int64_t i) {
+      const auto u = static_cast<std::uint64_t>(i);
+      a.set(t, u, a.get(t, u, 0x50) + 1.0, 0x51);
+    };
+    const auto region = [](rt::ThreadCtx& t) { t.compute(10, 0x99); };
     for (int rep = 0; rep < 3; ++rep) {
-      team.parallel_for(
-          0, 1 << 14,
-          [&](rt::ThreadCtx& t, std::int64_t i) {
-            const auto u = static_cast<std::uint64_t>(i);
-            a.set(t, u, a.get(t, u, 0x50) + 1.0, 0x51);
-          },
-          64);
-      team.parallel_region([&](rt::ThreadCtx& t) { t.compute(10, 0x99); });
+      if (!by_hand) {
+        team.parallel_for(0, kN, body, kChunk);
+        team.parallel_region(region);
+        continue;
+      }
+      constexpr std::int64_t kPer = kN / kThreads;
+      team.barrier();
+      for (std::int64_t lo = 0; lo < kPer; lo += kChunk) {
+        for (int t = 0; t < kThreads; ++t) {
+          for (std::int64_t i = lo; i < lo + kChunk; ++i) {
+            body(team.thread(t), t * kPer + i);
+          }
+        }
+      }
+      team.barrier();
+      team.barrier();
+      for (int t = 0; t < kThreads; ++t) region(team.thread(t));
+      team.barrier();
     }
     std::vector<sim::Cycles> clocks;
     for (int t = 0; t < team.size(); ++t) {
@@ -227,27 +102,7 @@ TEST(ExecBackend, TeamStateMatchesDeterministicTwin) {
     return std::tuple{clocks, machine.instructions_retired(),
                       machine.memory_accesses()};
   };
-  EXPECT_EQ(run(rt::BackendKind::kDeterministic),
-            run(rt::BackendKind::kThreaded));
-}
-
-// Exceptions thrown inside a threaded parallel_for propagate to the
-// caller without deadlocking the turn chain.
-TEST(ExecBackend, ThreadedBackendPropagatesBodyExceptions) {
-  sim::Machine machine(node_config());
-  rt::ExecConfig exec;
-  exec.backend = rt::BackendKind::kThreaded;
-  rt::Team team(machine, 4, exec);
-  EXPECT_THROW(
-      team.parallel_for(0, 1000,
-                        [&](rt::ThreadCtx&, std::int64_t i) {
-                          if (i == 500) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-  // The pool is still usable afterwards.
-  std::atomic<std::int64_t> n{0};
-  team.parallel_for(0, 100, [&](rt::ThreadCtx&, std::int64_t) { ++n; });
-  EXPECT_EQ(n.load(), 100);
+  EXPECT_EQ(run(false), run(true));
 }
 
 // -------------------------------------------- workload-level equivalence --
@@ -255,19 +110,25 @@ TEST(ExecBackend, ThreadedBackendPropagatesBodyExceptions) {
 struct BackendRun {
   std::vector<std::string> bytes;  // serialized per-thread profiles
   core::ThreadProfile merged;
-  core::Profiler::HandoffStats handoff;
+  std::uint64_t samples_handled = 0;  // profiler stats
+  std::uint64_t samples_taken = 0;    // PMU
   double checksum = 0;
 };
 
+/// One profiled run; `deferred` switches the profiler to deferred ingest
+/// regardless of backend (the sharded backend always defers).
 template <typename Body>
 BackendRun run_backend_cfg(rt::ExecConfig exec, const std::string& exe,
-                           Body&& body, core::ProfilerConfig pcfg = {}) {
+                           Body&& body, core::ProfilerConfig pcfg = {},
+                           bool deferred = false) {
   ProcessCtx proc(node_config(), kThreads, exe, exec);
   proc.enable_profiling(wl::ibs_config(512), pcfg);
+  if (deferred) proc.profiler()->enable_deferred_ingest();
   BackendRun out;
   out.checksum = body(proc);
   auto profiles = proc.take_profiles();
-  out.handoff = proc.profiler()->handoff_stats();
+  out.samples_handled = proc.profiler()->stats().samples_handled;
+  out.samples_taken = proc.pmu()->samples_taken();
   for (auto& p : profiles) {
     std::ostringstream ss;
     p.write(ss);
@@ -277,36 +138,32 @@ BackendRun run_backend_cfg(rt::ExecConfig exec, const std::string& exe,
   return out;
 }
 
-template <typename Body>
-BackendRun run_backend(rt::BackendKind kind, const std::string& exe,
-                       Body&& body, core::ProfilerConfig pcfg = {}) {
-  rt::ExecConfig exec;
-  exec.backend = kind;
-  return run_backend_cfg(exec, exe, body, pcfg);
-}
-
 void expect_runs_equal(const BackendRun& ref, const BackendRun& got) {
   EXPECT_EQ(ref.checksum, got.checksum);
-  EXPECT_EQ(got.handoff.gaps, 0u);
-  EXPECT_GT(got.handoff.samples, 0u);
+  // Sample conservation: every sample the PMU took was handled.
+  EXPECT_GT(got.samples_taken, 0u);
+  EXPECT_EQ(ref.samples_handled, ref.samples_taken);
+  EXPECT_EQ(got.samples_handled, got.samples_taken);
   // Stronger than the gate: each thread's profile is byte-identical.
   ASSERT_EQ(ref.bytes.size(), got.bytes.size());
   for (std::size_t i = 0; i < ref.bytes.size(); ++i) {
     EXPECT_EQ(ref.bytes[i], got.bytes[i]) << "thread profile " << i;
   }
-  // The ISSUE gate: merged profiles canonically equal.
+  // The gate: merged profiles canonically equal.
   std::string why;
   EXPECT_TRUE(verify::canonical_equal(ref.merged, got.merged, &why)) << why;
 }
 
+/// The deferred-ingest gate: on the deterministic backend, buffering
+/// attribution per thread (drained when a buffer fills and at the end)
+/// must produce exactly the profiles synchronous attribution does.
 template <typename Body>
-void expect_backend_equivalence(const std::string& exe, Body&& body,
-                                core::ProfilerConfig pcfg = {}) {
-  const BackendRun det =
-      run_backend(rt::BackendKind::kDeterministic, exe, body, pcfg);
-  const BackendRun thr =
-      run_backend(rt::BackendKind::kThreaded, exe, body, pcfg);
-  expect_runs_equal(det, thr);
+void expect_deferred_equivalence(const std::string& exe, Body&& body,
+                                 core::ProfilerConfig pcfg = {}) {
+  const rt::ExecConfig det;
+  const BackendRun sync = run_backend_cfg(det, exe, body, pcfg, false);
+  const BackendRun deferred = run_backend_cfg(det, exe, body, pcfg, true);
+  expect_runs_equal(sync, deferred);
 }
 
 /// The sharded backend's gate: the sockets-parallel run must be
@@ -340,7 +197,7 @@ wl::AmgParams small_amg() {
 }
 
 TEST(BackendEquivalence, Amg) {
-  expect_backend_equivalence("amg", [](ProcessCtx& proc) {
+  expect_deferred_equivalence("amg", [](ProcessCtx& proc) {
     wl::Amg amg(proc, small_amg());
     return amg.run().checksum;
   });
@@ -350,7 +207,7 @@ TEST(BackendEquivalence, Lulesh) {
   wl::LuleshParams prm;
   prm.nelem = 8'000;
   prm.iters = 2;
-  expect_backend_equivalence("lulesh", [prm](ProcessCtx& proc) {
+  expect_deferred_equivalence("lulesh", [prm](ProcessCtx& proc) {
     wl::Lulesh lulesh(proc, prm);
     return lulesh.run().checksum;
   });
@@ -361,23 +218,22 @@ TEST(BackendEquivalence, Streamcluster) {
   prm.npoints = 8'000;
   prm.dim = 8;
   prm.iters = 2;
-  expect_backend_equivalence("streamcluster", [prm](ProcessCtx& proc) {
+  expect_deferred_equivalence("streamcluster", [prm](ProcessCtx& proc) {
     wl::Streamcluster sc(proc, prm);
     return sc.run().checksum;
   });
 }
 
-// Tiny buffers force mid-turn flushes and ring-full carries; the output
-// must not change (only the overlap does).
+// Tiny buffers force drains in the middle of a chunk; the output must
+// not change.
 TEST(BackendEquivalence, SurvivesTinyIngestBuffers) {
   core::ProfilerConfig pcfg;
   pcfg.ingest.buffer_capacity = 4;
-  pcfg.ingest.ring_capacity = 2;
   wl::StreamclusterParams prm;
   prm.npoints = 4'000;
   prm.dim = 8;
   prm.iters = 2;
-  expect_backend_equivalence(
+  expect_deferred_equivalence(
       "streamcluster",
       [prm](ProcessCtx& proc) {
         wl::Streamcluster sc(proc, prm);
@@ -392,7 +248,7 @@ TEST(BackendEquivalence, MemoizationOffIsStillIdentical) {
   pcfg.memoized_attribution = false;
   wl::AmgParams prm = small_amg();
   prm.rows = 10'000;
-  expect_backend_equivalence(
+  expect_deferred_equivalence(
       "amg",
       [prm](ProcessCtx& proc) {
         wl::Amg amg(proc, prm);
@@ -644,14 +500,6 @@ TEST(TelemetryExactness, ShardedMatchesSerialTwin) {
   }
 }
 
-TEST(TelemetryExactness, ThreadedMatchesDeterministicTwin) {
-  const rt::ExecConfig det = exec_of(rt::BackendKind::kDeterministic);
-  const rt::ExecConfig thr = exec_of(rt::BackendKind::kThreaded);
-  for (const auto body : {run_small_amg, run_small_streamcluster}) {
-    expect_telemetry_equal(det, thr, body);
-  }
-}
-
 // ------------------------------------------------------ PMU sample gate --
 
 // Attached directly, a PmuSet opts into the machine's sample gate and is
@@ -819,12 +667,11 @@ GateRun run_gated(rt::ExecConfig exec, std::vector<pmu::PmuConfig> cfgs,
   return out;
 }
 
-/// Runs the kernel gated and wrapped on det, threads, sockets and the
-/// sockets backend's serial twin; every pair must match exactly.
+/// Runs the kernel gated and wrapped on det, sockets and the sockets
+/// backend's serial twin; every pair must match exactly.
 void expect_gate_exact(const std::vector<pmu::PmuConfig>& cfgs) {
   const rt::ExecConfig backends[] = {
       exec_of(rt::BackendKind::kDeterministic),
-      exec_of(rt::BackendKind::kThreaded),
       exec_of(rt::BackendKind::kSharded),
       exec_of(rt::BackendKind::kSharded, true)};
   for (const rt::ExecConfig& exec : backends) {

@@ -449,13 +449,12 @@ TEST(Telemetry, SnapshotCoversEveryLegacyStatsStruct) {
 }
 
 // profiler.sample_ns_hist gets one entry per sample on every backend;
-// the concurrent backends' deferred-ingest flushes are timed separately
-// in profiler.flush_ns_hist.
+// the sharded backend's deferred-ingest drains are timed separately in
+// profiler.flush_ns_hist.
 TEST(Telemetry, SampleLatencyHistogramCountsSamplesOnEveryBackend) {
   TelemetryOff restore;
   for (const rt::BackendKind kind :
-       {rt::BackendKind::kDeterministic, rt::BackendKind::kThreaded,
-        rt::BackendKind::kSharded}) {
+       {rt::BackendKind::kDeterministic, rt::BackendKind::kSharded}) {
     SCOPED_TRACE(rt::to_string(kind));
     obs::Registry::global().reset_for_testing();
     obs::set_metrics_enabled(true);

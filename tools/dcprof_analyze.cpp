@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   p.option("--whatif-threads", &whatif_threads,
            "threads for what-if re-runs (match the measurement)");
   p.option("--whatif-backend", &whatif_backend,
-           "execution backend for what-if re-runs", "det|threads|sockets");
+           "execution backend for what-if re-runs", "det|sockets");
   if (const auto rc = p.parse(argc, argv)) return *rc;
 
   analysis::Analyzer::Options opts;
@@ -179,7 +179,8 @@ int main(int argc, char** argv) {
   }
   const auto whatif_bk = rt::parse_backend(whatif_backend);
   if (!whatif_bk) {
-    return p.error("unknown --whatif-backend: " + whatif_backend);
+    return p.error("unknown --whatif-backend: " + whatif_backend +
+                   " (expected det|sockets)");
   }
   if (whatif_top < 1) return p.error("--whatif-top must be >= 1");
   if (whatif_threads < 1) return p.error("--whatif-threads must be >= 1");

@@ -5,16 +5,15 @@
 // Usage:
 //   dcprof_measure <amg|lulesh|streamcluster|nw|sweep3d> <out-dir>
 //                  [--event ibs|rmem] [--period N] [--threads N]
-//                  [--backend det|threads|sockets] [--throttle-budget N]
+//                  [--backend det|sockets] [--throttle-budget N]
 //                  [--metrics-json <file>] [--trace-out <file>]
 //
 // --backend picks the rt execution backend: `det` (default) runs the
-// team on the deterministic round-robin scheduler, `threads` runs it on
-// real std::threads with deferred sample ingest — same profiles, true
-// multicore sample handling; `sockets` additionally overlaps the
-// *simulation* across socket shards, resolving cross-socket accesses at
-// deterministic epoch barriers (profiles byte-identical to its serial
-// twin); --metrics-json enables the self-telemetry
+// team on the deterministic round-robin scheduler; `sockets` overlaps the
+// *simulation* across socket shards on real std::threads, resolving
+// cross-socket accesses at deterministic epoch barriers, with deferred
+// sample ingest (profiles byte-identical to its serial twin);
+// --metrics-json enables the self-telemetry
 // registry, dumps its snapshot as JSON, and prints the Table-1-style
 // overhead report; --trace-out enables the runtime event tracer and
 // writes Chrome trace_event JSON (loadable in Perfetto /
@@ -121,10 +120,9 @@ int main(int argc, char** argv) {
   p.option("--period", &period, "sampling period (0 = event default)");
   p.option("--threads", &threads, "team size for threaded workloads");
   p.option("--backend", &backend,
-           "execution backend: deterministic round-robin, true multicore "
-           "(std::thread + deferred sample ingest), or epoch-sharded "
+           "execution backend: deterministic round-robin, or epoch-sharded "
            "sockets (simulation overlapped across socket shards)",
-           "det|threads|sockets");
+           "det|sockets");
   p.option("--throttle-budget", &prof_cfg.throttle.budget_ns,
            "mean ns/sample budget for overload degradation (0 = off)");
   p.option("--metrics-json", &metrics_json,
@@ -134,7 +132,9 @@ int main(int argc, char** argv) {
   if (const auto rc = p.parse(argc, argv)) return *rc;
 
   const auto backend_kind = rt::parse_backend(backend);
-  if (!backend_kind) return p.error("unknown backend: " + backend);
+  if (!backend_kind) {
+    return p.error("unknown backend: " + backend + " (expected det|sockets)");
+  }
   rt::ExecConfig exec;
   exec.backend = *backend_kind;
 
